@@ -248,3 +248,43 @@ func TestTCPReadPauseBackpressure(t *testing.T) {
 		t.Errorf("offered = %d, want %d", got, burst)
 	}
 }
+
+// TestOverload503SendErrorCounted pins send.errors for the admission
+// controller's 503: the rejection has no caller to report a failed send
+// to, so a send through the server's UDP sender on a closed socket must
+// still be counted.
+func TestOverload503SendErrorCounted(t *testing.T) {
+	sub, err := newSubstrate(Config{
+		Workers:  1,
+		Overload: overload.Config{Policy: overload.PolicyThreshold, MaxQueue: 1},
+	}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.close()
+	sock, err := transport.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := sock.LocalAddr()
+	sock.Close()
+
+	req := sipmsg.NewRequest(sipmsg.RequestSpec{
+		Method:     sipmsg.INVITE,
+		RequestURI: sipmsg.URI{User: "callee", Host: testDomain},
+		From:       sipmsg.NameAddr{URI: sipmsg.URI{User: "caller", Host: testDomain}, Params: map[string]string{"tag": "t"}},
+		To:         sipmsg.NameAddr{URI: sipmsg.URI{User: "callee", Host: testDomain}},
+		CallID:     "send-error-503",
+		CSeq:       1,
+		Via:        sipmsg.Via{Transport: "UDP", Host: origin.IP.String(), Port: origin.Port},
+	})
+	if sub.admit(&udpSender{sock: sock}, req, origin, 1) {
+		t.Fatal("threshold policy admitted an INVITE at MaxQueue")
+	}
+	if got := sub.prof.Counter(metrics.MetricOverloadRejected).Value(); got != 1 {
+		t.Fatalf("overload.rejected = %d, want 1", got)
+	}
+	if got := sub.prof.Counter(metrics.MetricSendErrors).Value(); got != 1 {
+		t.Errorf("send.errors = %d, want 1", got)
+	}
+}

@@ -55,7 +55,7 @@ func newThreadedServer(cfg Config) (Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := sub.listenStream(cfg.Addr)
+	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		sub.close()
 		return nil, err
@@ -83,7 +83,6 @@ func newThreadedServer(cfg Config) (Server, error) {
 		w.sender = &threadedSender{w: w}
 		srv.workers = append(srv.workers, w)
 	}
-	sub.setEngineInfo(sub.streamEngineSelected())
 	srv.wg.Add(1 + len(srv.workers))
 	go srv.acceptor()
 	for _, w := range srv.workers {

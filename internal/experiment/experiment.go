@@ -372,16 +372,3 @@ func (f *Figure) TCPOfUDPRange() (lo, hi float64) {
 	}
 	return lo, hi
 }
-
-// selectedEngine reads the I/O engine a server actually armed from its
-// gosip_io_engine info gauge (set at startup by every architecture). The
-// batch default is reported when the gauge is absent — servers predating
-// the engine layer, or profiles from other processes.
-func selectedEngine(prof *metrics.Profile) transport.IOEngine {
-	for _, kv := range prof.Infos()["io_engine"] {
-		if kv[0] == "engine" {
-			return transport.IOEngine(kv[1])
-		}
-	}
-	return transport.EngineBatch
-}

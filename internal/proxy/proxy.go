@@ -134,6 +134,7 @@ type Engine struct {
 	absorbed       *metrics.Counter
 	authChallenges *metrics.Counter
 	dialogRouted   *metrics.Counter
+	sendErrs       *metrics.Counter // failed sends with no caller to report to
 	procTime       *metrics.Timer
 	sendTime       *metrics.Timer
 	procHist       *metrics.Histogram
@@ -153,6 +154,7 @@ func NewEngine(cfg Config, loc *location.Service, db *userdb.DB, txns *transacti
 		absorbed:       profile.Counter("proxy.absorbed"),
 		authChallenges: profile.Counter("proxy.auth_challenges"),
 		dialogRouted:   profile.Counter("proxy.dialog_routed"),
+		sendErrs:       profile.Counter(metrics.MetricSendErrors),
 		procTime:       profile.Timer(metrics.MetricProcessTime),
 		sendTime:       profile.Timer(metrics.MetricSendTime),
 		procHist:       profile.Histogram(metrics.StageProcess),
@@ -514,7 +516,9 @@ func (e *Engine) forwardStateful(s Sender, m *sipmsg.Message, origin any) {
 				// waiting time keeps accumulating across retransmissions.
 				now := time.Now()
 				tc.Gap(trace.StageWaitDown, now)
-				_ = ts.ToBinding(binding, msg)
+				if ts.ToBinding(binding, msg) != nil {
+					e.sendErrs.Inc()
+				}
 				tc.Span(trace.StageRetransmit, now)
 			},
 			func() {
@@ -579,7 +583,9 @@ func (e *Engine) ackDownstream(s Sender, tx *transaction.Transaction, resp *sipm
 	via, _ := e.ownVia()
 	ack := sipmsg.NewAck(fwd, resp, via)
 	borrowTrace(ack, tx.Request())
-	_ = e.sendToBinding(s, binding, ack)
+	if e.sendToBinding(s, binding, ack) != nil {
+		e.sendErrs.Inc()
+	}
 }
 
 // cancelDownstream derives a CANCEL from the forwarded INVITE per §9.1 —
@@ -606,7 +612,9 @@ func (e *Engine) cancelDownstream(s Sender, tx *transaction.Transaction, fwd *si
 		cancel.Add("Via", top.String())
 	}
 	borrowTrace(cancel, tx.Request())
-	_ = e.sendToBinding(s, binding, cancel)
+	if e.sendToBinding(s, binding, cancel) != nil {
+		e.sendErrs.Inc()
+	}
 }
 
 // localFinal builds a locally generated final response, adding Retry-After

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"gosip/internal/sipmsg"
 	"gosip/internal/timerlist"
 	"gosip/internal/transaction"
+	"gosip/internal/transport"
 	"gosip/internal/userdb"
 )
 
@@ -237,6 +239,76 @@ func TestForwardFailure503(t *testing.T) {
 	origins := s.originMsgs()
 	if origins[len(origins)-1].msg.StatusCode != sipmsg.StatusServiceUnavail {
 		t.Errorf("status = %d, want 503", origins[len(origins)-1].msg.StatusCode)
+	}
+}
+
+// closedSocketSender sends every message on a UDP socket that has already
+// been closed, so each send fails the way a torn-down worker socket does.
+type closedSocketSender struct{ sock *transport.UDPSocket }
+
+func newClosedSocketSender(t *testing.T) *closedSocketSender {
+	t.Helper()
+	sock, err := transport.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock.Close()
+	return &closedSocketSender{sock: sock}
+}
+
+func (c *closedSocketSender) ToOrigin(origin any, m *sipmsg.Message) error {
+	return c.ToAddr("UDP", "127.0.0.1:5071", m)
+}
+
+func (c *closedSocketSender) ToBinding(b location.Binding, m *sipmsg.Message) error {
+	return c.ToAddr(b.Transport, b.Contact.HostPort(), m)
+}
+
+func (c *closedSocketSender) ToAddr(_, hostport string, m *sipmsg.Message) error {
+	dst, err := net.ResolveUDPAddr("udp", hostport)
+	if err != nil {
+		return err
+	}
+	return c.sock.WriteTo(m.Serialize(), dst)
+}
+
+// TestFailedSendsCounted pins send.errors for the proxy's own sends, which
+// have no caller to hand an error to: a Timer A retransmission, the ACK
+// for a downstream non-2xx final, and a downstream CANCEL — each through a
+// closed socket.
+func TestFailedSendsCounted(t *testing.T) {
+	v := newEnv(t, true, false)
+	v.registerUser(1, "10.0.0.2", 5072)
+	closed := newClosedSocketSender(t)
+	errs := v.prof.Counter(metrics.MetricSendErrors)
+	s := &fakeSender{}
+
+	// Timer A retransmission through the timer sender.
+	v.engine.SetTimerSender(closed)
+	req := invite(0, 1)
+	v.engine.Handle(s, req, "caller")
+	v.timers.CheckNow(time.Now().Add(15 * time.Millisecond))
+	if got := errs.Value(); got != 1 {
+		t.Fatalf("after failed retransmit: send.errors = %d, want 1", got)
+	}
+
+	// Proxy-generated ACK for the callee's 486.
+	fwd := s.addrMsgs()[0].msg
+	v.engine.Handle(closed, sipmsg.NewResponse(fwd, 486, "busy"), nil)
+	if got := errs.Value(); got != 2 {
+		t.Fatalf("after failed ACK: send.errors = %d, want 2", got)
+	}
+
+	// Proxy-generated CANCEL for a proceeding INVITE.
+	req = invite(0, 1)
+	v.engine.Handle(s, req, "caller")
+	cancel := req.Clone()
+	cancel.Method = sipmsg.CANCEL
+	cancel.Set("CSeq", "1 CANCEL")
+	cancel.Body = nil
+	v.engine.Handle(closed, cancel, "caller")
+	if got := errs.Value(); got != 3 {
+		t.Fatalf("after failed CANCEL: send.errors = %d, want 3", got)
 	}
 }
 

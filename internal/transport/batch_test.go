@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"net"
 	"sync"
@@ -77,6 +78,68 @@ func runBatchReceivers(t *testing.T, srv *UDPSocket, readers, batch, total int) 
 	return got
 }
 
+// parityCorpus is the payload set both datagram paths must deliver byte
+// for byte: pathological sizes (1 byte, a page, more than a 1500-byte MTU),
+// full byte coverage, and SIP-shaped text with awkward whitespace in the
+// torture-corpus spirit.
+func parityCorpus() [][]byte {
+	all := make([]byte, 1024)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	sip := []byte("INVITE sip:bob@b.example SIP/2.0\r\n" +
+		"Via: SIP/2.0/UDP a.example;branch=z9hG4bK1\r\n" +
+		"From: \"Watson, come here; now\" <sip:a@a.example>;tag=x\r\n" +
+		"To: <sip:bob@b.example>\r\n" +
+		"Call-ID:    spaced-out   \r\n" +
+		"CSeq: 1 INVITE\r\n\r\n")
+	page := make([]byte, 4096)
+	for i := range page {
+		page[i] = byte(i * 13)
+	}
+	big := make([]byte, 9000)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	return [][]byte{[]byte("x"), sip, all, page, big}
+}
+
+// digestMultiset keys a payload multiset by sha256, so a mismatch report
+// stays readable for binary and multi-kilobyte payloads.
+func digestMultiset(payloads map[string]int) map[string]int {
+	d := make(map[string]int, len(payloads))
+	for p, n := range payloads {
+		d[fmt.Sprintf("%x", sha256.Sum256([]byte(p)))] += n
+	}
+	return d
+}
+
+// payloadMultiset counts each payload's occurrences.
+func payloadMultiset(payloads [][]byte) map[string]int {
+	m := make(map[string]int, len(payloads))
+	for _, p := range payloads {
+		m[string(p)]++
+	}
+	return m
+}
+
+// checkSameMultiset fails t unless got and want hold the same payloads
+// the same number of times.
+func checkSameMultiset(t *testing.T, got, want map[string]int) {
+	t.Helper()
+	if g, w := digestMultiset(got), digestMultiset(want); fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Errorf("delivered multiset differs:\n got %v\nwant %v", g, w)
+	}
+}
+
+// pathName labels the datagram path a ForceGeneric setting selects.
+func pathName(forceGeneric bool) string {
+	if forceGeneric {
+		return "generic"
+	}
+	return "mmsg"
+}
+
 // TestBatchReadParity is the satellite parity test: the Linux mmsg path
 // and the portable fallback must deliver identical packet streams —
 // order-insensitive, loss-free — for the same concurrent send pattern.
@@ -89,11 +152,7 @@ func TestBatchReadParity(t *testing.T) {
 		}
 	}
 	for _, forceGeneric := range []bool{false, true} {
-		name := "mmsg"
-		if forceGeneric {
-			name = "generic"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(pathName(forceGeneric), func(t *testing.T) {
 			srv, _ := listenBatch(t, batch, forceGeneric)
 			if !forceGeneric && mmsgAvailable && !srv.MmsgActive() {
 				t.Fatal("mmsg path not armed on an mmsg-capable platform")
@@ -136,42 +195,128 @@ func TestBatchReadParity(t *testing.T) {
 }
 
 // TestWriteBatchDelivery sends one WriteBatch through the mmsg path (where
-// available) and asserts complete delivery plus the syscall amortization
-// the counters should show.
+// available) and through the forced-generic loop, and asserts complete
+// delivery plus the syscall amortization the counters should show.
 func TestWriteBatchDelivery(t *testing.T) {
 	const msgs, writerCap = 50, 16
-	src, prof := listenBatch(t, writerCap, false)
-	srv, _ := listenBatch(t, writerCap, true) // generic receive keeps sides independent
-	dgs := make([]Datagram, msgs)
-	want := make(map[string]int, msgs)
-	for i := range dgs {
-		payload := fmt.Sprintf("wb-%d", i)
-		dgs[i] = Datagram{Data: []byte(payload), Dst: srv.LocalAddr()}
-		want[payload]++
+	var payloads [][]byte
+	for i := 0; i < msgs; i++ {
+		payloads = append(payloads, []byte(fmt.Sprintf("wb-%d", i)))
 	}
-	bw := src.NewBatchWriter(writerCap)
-	if err := src.WriteBatch(bw, dgs); err != nil {
-		t.Fatal(err)
+	for _, forceGeneric := range []bool{false, true} {
+		t.Run(pathName(forceGeneric), func(t *testing.T) {
+			src, prof := listenBatch(t, writerCap, forceGeneric)
+			srv, _ := listenBatch(t, writerCap, true) // generic receive keeps sides independent
+			dgs := make([]Datagram, len(payloads))
+			for i, p := range payloads {
+				dgs[i] = Datagram{Data: p, Dst: srv.LocalAddr()}
+			}
+			bw := src.NewBatchWriter(writerCap)
+			if err := src.WriteBatch(bw, dgs); err != nil {
+				t.Fatal(err)
+			}
+			got := runBatchReceivers(t, srv, 2, writerCap, len(payloads))
+			checkSameMultiset(t, got, payloadMultiset(payloads))
+			sys := prof.Counter(metrics.MetricUDPSendSyscalls).Value()
+			sent := prof.Counter(metrics.MetricUDPSendMsgs).Value()
+			if sent != msgs {
+				t.Errorf("send_msgs = %d, want %d", sent, msgs)
+			}
+			if src.MmsgActive() {
+				// 50 messages through a 16-slot writer is 4 chunks; partial
+				// sends can add calls but must stay far below one per message.
+				if sys >= msgs/2 {
+					t.Errorf("send_syscalls = %d for %d messages; sendmmsg not amortizing", sys, msgs)
+				}
+			} else if sys != msgs {
+				t.Errorf("generic path send_syscalls = %d, want %d", sys, msgs)
+			}
+		})
 	}
-	got := runBatchReceivers(t, srv, 2, writerCap, msgs)
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("payload %q delivered %d times, want %d", k, got[k], n)
+}
+
+// parityPaths names the two datagram paths the corpus parity tests pin
+// against each other: the portable one-syscall-per-datagram loop and the
+// batched mmsg path (which degrades to the portable loop where mmsg is
+// unavailable).
+var parityPaths = []struct {
+	name         string
+	forceGeneric bool
+}{
+	{"portable", true},
+	{"batch", false},
+}
+
+// TestEngineParityUDPReceive pins byte-identical ingress across the
+// datagram paths: the parity corpus, delivered with the same bytes, for
+// both ReadBatch and ReadPacket consumers.
+func TestEngineParityUDPReceive(t *testing.T) {
+	const batch = 8
+	corpus := parityCorpus()
+	for _, path := range parityPaths {
+		for _, mode := range []string{"batch", "packet"} {
+			t.Run(path.name+"/"+mode, func(t *testing.T) {
+				srv, _ := listenBatch(t, batch, path.forceGeneric)
+				peer, err := net.DialUDP("udp", nil, srv.LocalAddr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer peer.Close()
+				for _, p := range corpus {
+					if _, err := peer.Write(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var got [][]byte
+				if err := srv.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+					t.Fatal(err)
+				}
+				br := srv.NewBatchReader(batch)
+				for len(got) < len(corpus) {
+					if mode == "batch" {
+						n, err := srv.ReadBatch(br)
+						if err != nil {
+							t.Fatalf("after %d: %v", len(got), err)
+						}
+						for _, p := range br.Packets()[:n] {
+							got = append(got, append([]byte(nil), p.Data...))
+						}
+						continue
+					}
+					p, err := srv.ReadPacket()
+					if err != nil {
+						t.Fatalf("after %d: %v", len(got), err)
+					}
+					got = append(got, append([]byte(nil), p.Data...))
+					srv.Release(p)
+				}
+				checkSameMultiset(t, payloadMultiset(got), payloadMultiset(corpus))
+			})
 		}
 	}
-	sys := prof.Counter(metrics.MetricUDPSendSyscalls).Value()
-	sent := prof.Counter(metrics.MetricUDPSendMsgs).Value()
-	if sent != msgs {
-		t.Errorf("send_msgs = %d, want %d", sent, msgs)
-	}
-	if src.MmsgActive() {
-		// 50 messages through a 16-slot writer is 4 chunks; partial sends
-		// can add calls but must stay far below one per message.
-		if sys >= msgs/2 {
-			t.Errorf("send_syscalls = %d for %d messages; sendmmsg not amortizing", sys, msgs)
-		}
-	} else if sys != msgs {
-		t.Errorf("generic path send_syscalls = %d, want %d", sys, msgs)
+}
+
+// TestEngineParityUDPSend pins byte-identical egress: WriteBatch of the
+// parity corpus through each datagram path delivers the same datagrams to
+// the peer.
+func TestEngineParityUDPSend(t *testing.T) {
+	const batch = 8
+	corpus := parityCorpus()
+	for _, path := range parityPaths {
+		t.Run(path.name, func(t *testing.T) {
+			src, _ := listenBatch(t, batch, path.forceGeneric)
+			srv, _ := listenBatch(t, batch, true) // generic receive keeps sides independent
+			dgs := make([]Datagram, len(corpus))
+			for i, p := range corpus {
+				dgs[i] = Datagram{Data: p, Dst: srv.LocalAddr()}
+			}
+			bw := src.NewBatchWriter(batch)
+			if err := src.WriteBatch(bw, dgs); err != nil {
+				t.Fatal(err)
+			}
+			got := runBatchReceivers(t, srv, 1, batch, len(corpus))
+			checkSameMultiset(t, got, payloadMultiset(corpus))
+		})
 	}
 }
 

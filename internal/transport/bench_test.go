@@ -145,6 +145,65 @@ func benchStreamWrite(b *testing.B, coalesce bool) {
 func BenchmarkStreamWriteContended(b *testing.B)          { benchStreamWrite(b, false) }
 func BenchmarkStreamWriteContendedCoalesced(b *testing.B) { benchStreamWrite(b, true) }
 
+// benchTLSStreamWrite is benchStreamWrite with the TLS layer in place:
+// the same contended-send shape, measured above crypto/tls, so the
+// syscalls/op column lines up with the plain-TCP benchmarks. Coalescing
+// matters more here — every write call that is saved also saves a TLS
+// record seal.
+func benchTLSStreamWrite(b *testing.B, coalesce bool) {
+	srvCtx, cliCtx := newTLSPair(b, TLSOptions{}, TLSOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		tc := srvCtx.Server(nc)
+		io.Copy(io.Discard, tc)
+		tc.Close()
+	}()
+	nc, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client := cliCtx.Client(nc, ln.Addr().String())
+	if err := client.Handshake(); err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+
+	prof := metrics.NewProfile()
+	sc := NewStreamConn(client)
+	sc.InstrumentWrites(prof.Counter(metrics.MetricTCPWriteCalls), prof.Counter(metrics.MetricTCPWriteMsgs))
+	if coalesce {
+		sc.EnableCoalesce()
+	}
+
+	wire := testMsg(1).Serialize()
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := sc.WriteRaw(wire); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.StopTimer()
+	calls := prof.Counter(metrics.MetricTCPWriteCalls).Value()
+	msgs := prof.Counter(metrics.MetricTCPWriteMsgs).Value()
+	b.ReportMetric(float64(calls)/float64(msgs), "syscalls/op")
+}
+
+func BenchmarkTLSStreamWriteContended(b *testing.B)          { benchTLSStreamWrite(b, false) }
+func BenchmarkTLSStreamWriteContendedCoalesced(b *testing.B) { benchTLSStreamWrite(b, true) }
+
 // BenchmarkEgressEnqueue is the proxy's batched send path: enqueue into
 // the worker egress and drain, as one receive batch's worth of responses
 // would. The reader side drains the socket so the benchmark measures the

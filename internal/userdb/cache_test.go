@@ -117,18 +117,28 @@ func TestSQLBackend(t *testing.T) {
 // wait lands in stage.db_queue, and stage.db_lookup sees only the query
 // itself — serialized callers must not inflate the query histogram.
 func TestQueueWaitSeparatedFromQueryTime(t *testing.T) {
+	const hold = 50 * time.Millisecond
 	prof := metrics.NewProfile()
-	db := New(Config{LookupLatency: 10 * time.Millisecond, PoolSize: 1}, prof)
+	db := New(Config{LookupLatency: time.Millisecond, PoolSize: 1}, prof)
 	db.Provision(User{Username: "a", Domain: "d"})
 
-	var wg sync.WaitGroup
+	// Occupy the only pool slot until every caller has started, then for
+	// hold more, so each caller queues at least that long however late the
+	// scheduler runs it, while each query stays a ~1ms round-trip.
+	db.pool <- struct{}{}
+	var started, wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
+		started.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			started.Done()
 			db.Lookup("a", "d")
 		}()
 	}
+	started.Wait()
+	time.Sleep(hold)
+	<-db.pool
 	wg.Wait()
 
 	snap := prof.Snapshot()
@@ -137,12 +147,12 @@ func TestQueueWaitSeparatedFromQueryTime(t *testing.T) {
 	if queue.Count != 3 || query.Count != 3 {
 		t.Fatalf("histogram counts: queue=%d query=%d, want 3 each", queue.Count, query.Count)
 	}
-	// The third caller queued behind two 10ms queries (~20ms).
+	// Every caller queued behind the held slot (>= hold).
 	if queue.P99() < 8*time.Millisecond {
 		t.Errorf("queue P99 = %v, expected pool wait to register", queue.P99())
 	}
-	// Each query itself is ~10ms; with log2 buckets that's <= the 16ms
-	// bucket. The old bug put the 20ms+ pool wait here too.
+	// Each query itself is ~1ms. The old bug put the 50ms+ pool wait here
+	// too.
 	if query.P99() > 20*time.Millisecond {
 		t.Errorf("query P99 = %v, pool wait is polluting stage.db_lookup", query.P99())
 	}
