@@ -97,7 +97,6 @@ func main() {
 		txnTimerD    = flag.Duration("timer-d", 0, "completed non-2xx INVITE transaction lifetime, Timer D (0 = 32s)")
 		txnTimerH    = flag.Duration("timer-h", 0, "ACK wait after a non-2xx INVITE final, Timer H (0 = 64*T1)")
 		txnLinger    = flag.Duration("txn-linger", 0, "completed-transaction absorb window for non-INVITE and 2xx finals, Timers J/K (0 = 2s)")
-		dispatch     = flag.String("dispatch", "rr", "threaded connection dispatch: rr (round-robin) or affinity (peer-hash worker pinning)")
 		dbLatency    = flag.Duration("db-latency", 0, "simulated user-database lookup latency")
 		dbBackend    = flag.String("db-backend", "memory", "user-database driver: memory or sql (latency-modelled; uses -db-latency per query)")
 		dbPool       = flag.Int("db-pool", 0, "user-database connection-pool size (0 = unbounded)")
@@ -165,7 +164,6 @@ func main() {
 		SoSndBuf:          *soSndbuf,
 		TimerImpl:         timerlist.Impl(*timerImpl),
 		TimerShards:       *timerShards,
-		Dispatch:          core.Dispatch(*dispatch),
 		Overload: overload.Config{
 			Policy:          overload.Policy(*olPolicy),
 			MaxPending:      *olPending,
@@ -251,9 +249,9 @@ func main() {
 		fmt.Printf("sipproxyd: batched I/O: udp-batch=%d udp-shard=%d tcp-coalesce=%v\n",
 			*udpBatch, *udpShard, *tcpCoalesce)
 	}
-	if *timerImpl != "heap" || *timerShards > 0 || *txnShards > 0 || *dispatch != "rr" {
-		fmt.Printf("sipproxyd: locking: timer-impl=%s timer-shards=%d txn-shards=%d dispatch=%s\n",
-			*timerImpl, *timerShards, *txnShards, *dispatch)
+	if *timerImpl != "heap" || *timerShards > 0 || *txnShards > 0 {
+		fmt.Printf("sipproxyd: locking: timer-impl=%s timer-shards=%d txn-shards=%d\n",
+			*timerImpl, *timerShards, *txnShards)
 	}
 	if *locShards > 0 || *authCache > 0 || *dbBackend != "memory" {
 		fmt.Printf("sipproxyd: registrar: loc-shards=%d db-backend=%s auth-cache=%d auth-cache-ttl=%v\n",

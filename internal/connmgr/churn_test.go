@@ -64,7 +64,6 @@ func TestConcurrentChurn(t *testing.T) {
 						} else {
 							c.Touch(time.Now(), time.Hour)
 						}
-						m.Touch(c)
 					}
 				}(g)
 			}
@@ -153,7 +152,6 @@ func TestExpiredIneligibleReinsertedConcurrently(t *testing.T) {
 			default:
 			}
 			c.Touch(time.Now(), time.Millisecond)
-			pq.Touch(c)
 		}
 	}()
 

@@ -9,8 +9,8 @@
 //   - PQueue (the Figure 5 fix, §5.3): connections are kept ordered by
 //     idle deadline in a priority queue, so a check touches only the
 //     entries that have actually timed out. Connections that turn out not
-//     to be collectable yet (deadline pushed by a Touch, or still owned by
-//     a worker) are reinserted, exactly as the paper describes.
+//     to be collectable yet (deadline pushed by traffic since, or still
+//     owned by a worker) are reinserted, exactly as the paper describes.
 //
 // Both implement Manager, so the server architecture is policy-free.
 package connmgr
@@ -33,8 +33,6 @@ type Eligible func(c *conn.TCPConn, now time.Time) bool
 type Manager interface {
 	// Add starts tracking a connection.
 	Add(c *conn.TCPConn)
-	// Touch notes that the connection's deadline moved later.
-	Touch(c *conn.TCPConn)
 	// Remove stops tracking a connection.
 	Remove(c *conn.TCPConn)
 	// Expired returns connections whose idle deadline has passed and for
@@ -90,10 +88,6 @@ func (s *Scanner) Add(c *conn.TCPConn) {
 	s.mu.Unlock()
 }
 
-// Touch is a no-op: the scanner re-reads every deadline on each scan — the
-// very inefficiency the priority queue removes.
-func (s *Scanner) Touch(*conn.TCPConn) {}
-
 // Remove stops tracking c.
 func (s *Scanner) Remove(c *conn.TCPConn) {
 	s.mu.Lock()
@@ -133,14 +127,18 @@ func (s *Scanner) Len() int {
 	return len(s.conns)
 }
 
-// PQueue orders connections by idle deadline. Entries are lazily keyed: a
-// Touch pushes a new entry rather than re-heapifying, and stale entries are
-// discarded or reinserted when popped (matching the paper's description of
-// the supervisor reinserting connections it cannot destroy yet).
+// PQueue orders connections by idle deadline. Entries are lazily keyed:
+// traffic moves a connection's deadline (conn.TCPConn.Touch) without
+// touching the queue, so an entry keyed at the deadline the connection had
+// when it was added pops early and is re-keyed at the real deadline then;
+// removed connections' entries are discarded when popped. Popped entries
+// that are expired but not yet eligible are reinserted, matching the
+// paper's description of the supervisor reinserting connections it cannot
+// destroy yet.
 type PQueue struct {
 	mu   sync.Mutex
 	h    connHeap
-	live map[conn.ID]int // entries outstanding per connection
+	live map[conn.ID]struct{} // tracked connections
 
 	// ReinsertDelay is how far in the future an expired-but-ineligible
 	// connection is re-keyed; it models the supervisor re-checking returned
@@ -155,7 +153,7 @@ type PQueue struct {
 // NewPQueue creates an empty priority-queue manager.
 func NewPQueue(profile *metrics.Profile) *PQueue {
 	return &PQueue{
-		live:          make(map[conn.ID]int),
+		live:          make(map[conn.ID]struct{}),
 		ReinsertDelay: 100 * time.Millisecond,
 		scanTime:      profile.Timer(metrics.MetricIdleScanTime),
 		visits:        profile.Counter(metrics.MetricIdleScanVisits),
@@ -186,22 +184,7 @@ func (h *connHeap) Pop() any {
 func (p *PQueue) Add(c *conn.TCPConn) {
 	p.mu.Lock()
 	heap.Push(&p.h, pqEntry{c: c, at: c.Deadline()})
-	p.live[c.ID()]++
-	p.mu.Unlock()
-}
-
-// Touch re-keys the connection by pushing a fresh entry at the new
-// deadline. The older entry becomes stale and is discarded when popped.
-// To bound queue growth under rapid touching, a connection with an entry
-// already keyed at-or-after the new deadline is left alone.
-func (p *PQueue) Touch(c *conn.TCPConn) {
-	p.mu.Lock()
-	if n := p.live[c.ID()]; n == 0 {
-		p.mu.Unlock()
-		return // not tracked (already collected)
-	}
-	// A single extra entry at the new deadline is sufficient: when the
-	// older entry pops early, the deadline check reinserts or drops it.
+	p.live[c.ID()] = struct{}{}
 	p.mu.Unlock()
 }
 
@@ -272,7 +255,7 @@ type TableScanner struct {
 }
 
 // NewTableScanner creates the shared-table baseline manager. Membership is
-// the table itself, so Add/Touch/Remove are no-ops.
+// the table itself, so Add and Remove are no-ops.
 func NewTableScanner(table *conn.Table, profile *metrics.Profile) *TableScanner {
 	return &TableScanner{
 		table:    table,
@@ -284,9 +267,6 @@ func NewTableScanner(table *conn.Table, profile *metrics.Profile) *TableScanner 
 
 // Add is a no-op: the shared table is the membership.
 func (s *TableScanner) Add(*conn.TCPConn) {}
-
-// Touch is a no-op: deadlines are re-read on every scan.
-func (s *TableScanner) Touch(*conn.TCPConn) {}
 
 // Remove is a no-op: destroying the connection removes it from the table.
 func (s *TableScanner) Remove(*conn.TCPConn) {}

@@ -96,7 +96,6 @@ func TestConcurrentChurnTLS(t *testing.T) {
 						} else {
 							c.Touch(time.Now(), time.Hour)
 						}
-						m.Touch(c)
 					}
 				}(g)
 			}

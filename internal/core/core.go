@@ -1,18 +1,19 @@
 // Package core assembles the paper's server architectures around the proxy
 // engine (Ram et al. §3):
 //
-//   - UDPServer (§3.2): N symmetric workers concurrently receiving from one
+//   - UDP (§3.2): N symmetric workers concurrently receiving from one
 //     shared UDP socket; no connection state; a timer process drives
 //     retransmission.
-//   - TCPServer (§3.1): a single supervisor goroutine that accepts all
+//   - TCP (§3.1): a single supervisor goroutine that accepts all
 //     connections, assigns ownership to workers, answers blocking fd
 //     requests over the IPC fabric, and closes idle connections. Workers
 //     own reads on their connections and must obtain descriptors for
 //     everything else. The Figure 4 fd cache and the Figure 5 priority
 //     queue are configuration switches.
-//   - ThreadedServer (§6): the multi-threaded, shared-address-space
-//     architecture the paper advocates — same worker event loops, but any
-//     worker may write any connection directly, with no supervisor IPC.
+//   - Threaded (§6): the multi-threaded, shared-address-space architecture
+//     the paper advocates. It is the TCP server without its supervisor:
+//     the same worker event loops, but any worker may write any connection
+//     directly, with no IPC.
 //
 // Worker goroutines follow an enforced process discipline: each worker is
 // one event loop; message processing for a connection happens only on its
@@ -171,13 +172,6 @@ type Config struct {
 	// TimerShards is the wheel's shard count (0 = GOMAXPROCS); ignored by
 	// the heap, which is inherently single-lock.
 	TimerShards int
-	// Dispatch selects how the threaded architecture assigns inbound
-	// connections to workers: DispatchRR (round-robin, the default) or
-	// DispatchAffinity (hash of the peer address, so one peer's
-	// connections — and therefore its Call-ID-keyed transactions and
-	// timers — always land on the same worker). Ignored by other
-	// architectures.
-	Dispatch Dispatch
 	// Txn tunes the transaction layer.
 	Txn transaction.Config
 	// DB configures the simulated persistent store.
@@ -196,22 +190,6 @@ type Config struct {
 const (
 	DefaultWorkersUDP = 8
 	DefaultWorkersTCP = 8
-)
-
-// Dispatch names a connection-to-worker assignment policy for the threaded
-// architecture.
-type Dispatch string
-
-// Dispatch policies.
-const (
-	// DispatchRR spreads inbound connections round-robin: even load, but a
-	// peer's transactions scatter across workers and every shard lock they
-	// share is contended.
-	DispatchRR Dispatch = "rr"
-	// DispatchAffinity hashes the peer address so a peer's connections
-	// always land on one worker; its transactions and timers stay
-	// worker-local, trading perfect balance for lock locality.
-	DispatchAffinity Dispatch = "affinity"
 )
 
 // TLSSettings configures the TLS transport (see Config.TLS). Certificates
@@ -279,9 +257,6 @@ func (c Config) withDefaults() Config {
 	if c.TimerImpl == "" {
 		c.TimerImpl = timerlist.ImplHeap
 	}
-	if c.Dispatch == "" {
-		c.Dispatch = DispatchRR
-	}
 	if c.LocSweepInterval <= 0 {
 		c.LocSweepInterval = time.Second
 	}
@@ -317,9 +292,6 @@ type Server interface {
 // New starts a server of the configured architecture.
 func New(cfg Config) (Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Dispatch != DispatchRR && cfg.Dispatch != DispatchAffinity {
-		return nil, fmt.Errorf("core: unknown dispatch policy %q", cfg.Dispatch)
-	}
 	if cfg.TimerImpl != timerlist.ImplHeap && cfg.TimerImpl != timerlist.ImplWheel {
 		return nil, fmt.Errorf("core: unknown timer implementation %q", cfg.TimerImpl)
 	}
@@ -329,19 +301,19 @@ func New(cfg Config) (Server, error) {
 	switch cfg.Arch {
 	case ArchUDP, ArchSCTP:
 		return newUDPServer(cfg)
-	case ArchTCP:
-		return newTCPServer(cfg)
-	case ArchThreaded:
-		return newThreadedServer(cfg)
+	case ArchTCP, ArchThreaded:
+		return newStreamServer(cfg)
 	default:
 		return nil, fmt.Errorf("core: unknown architecture %q", cfg.Arch)
 	}
 }
 
-// substrate bundles the pieces every architecture shares.
+// substrate bundles the pieces every architecture shares. Each server
+// embeds it, which supplies the Server accessors.
 type substrate struct {
 	cfg    Config
 	prof   *metrics.Profile
+	engine *proxy.Engine // set by bindEngine once the listen address is known
 	loc    *location.Service
 	db     *userdb.DB
 	timers timerlist.Scheduler
@@ -448,6 +420,13 @@ func (s *substrate) observeParsed(m *sipmsg.Message, d time.Duration) {
 	}
 }
 
+func (s *substrate) Engine() *proxy.Engine       { return s.engine }
+func (s *substrate) Profile() *metrics.Profile   { return s.prof }
+func (s *substrate) Location() *location.Service { return s.loc }
+func (s *substrate) DB() *userdb.DB              { return s.db }
+func (s *substrate) Timers() timerlist.Scheduler { return s.timers }
+func (s *substrate) Tracer() *trace.Recorder     { return s.rec }
+
 func (s *substrate) close() {
 	s.timers.Close()
 	s.loc.Close()
@@ -463,8 +442,8 @@ func (s *substrate) streamKind() transport.Kind {
 	return transport.TCP
 }
 
-// engineConfig builds the proxy engine configuration for a bound address.
-func (s *substrate) engineConfig(kind transport.Kind, host string, port int) proxy.Config {
+// bindEngine builds the proxy engine for the server's bound address.
+func (s *substrate) bindEngine(kind transport.Kind, host string, port int) {
 	mode := proxy.ModeProxy
 	if s.cfg.Redirect {
 		mode = proxy.ModeRedirect
@@ -475,7 +454,7 @@ func (s *substrate) engineConfig(kind transport.Kind, host string, port int) pro
 		// the same back-off as admission rejections.
 		retryAfter = s.ctrl.RetryAfter()
 	}
-	return proxy.Config{
+	s.engine = proxy.NewEngine(proxy.Config{
 		Mode:         mode,
 		Auth:         s.cfg.Auth,
 		Routes:       s.cfg.Routes,
@@ -487,7 +466,7 @@ func (s *substrate) engineConfig(kind transport.Kind, host string, port int) pro
 		ViaPort:      port,
 		Domain:       s.cfg.Domain,
 		RetryAfter:   retryAfter,
-	}
+	}, s.loc, s.db, s.txns, s.prof)
 }
 
 // tuneStream applies the stream-socket options to a raw TCP connection:
@@ -635,12 +614,12 @@ func (s *substrate) admit(send proxy.Sender, m *sipmsg.Message, origin any, queu
 
 // handleTimed runs the proxy engine on one message, feeding the processing
 // time to the occupancy estimator when that policy is active.
-func (s *substrate) handleTimed(e *proxy.Engine, send proxy.Sender, m *sipmsg.Message, origin any) {
+func (s *substrate) handleTimed(send proxy.Sender, m *sipmsg.Message, origin any) {
 	if !s.obsBusy {
-		e.Handle(send, m, origin)
+		s.engine.Handle(send, m, origin)
 		return
 	}
 	t0 := time.Now()
-	e.Handle(send, m, origin)
+	s.engine.Handle(send, m, origin)
 	s.ctrl.Observe(time.Since(t0))
 }

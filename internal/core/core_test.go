@@ -145,7 +145,7 @@ func TestTCPWithPQueueAndChurn(t *testing.T) {
 	}
 	// Idle management must eventually destroy churned connections.
 	deadline := time.Now().Add(5 * time.Second)
-	ts := srv.(*tcpServer)
+	ts := srv.(*streamServer)
 	for time.Now().Before(deadline) {
 		if ts.ConnCount() <= 2*4+4 { // remaining live conns bounded
 			break
@@ -190,7 +190,7 @@ func TestIdleConnectionsClosedByServer(t *testing.T) {
 	if err := p.Register(); err != nil {
 		t.Fatal(err)
 	}
-	ts := srv.(*tcpServer)
+	ts := srv.(*streamServer)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && ts.ConnCount() > 0 {
 		time.Sleep(25 * time.Millisecond)

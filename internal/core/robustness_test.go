@@ -81,7 +81,7 @@ func TestAbruptClientDisconnect(t *testing.T) {
 		Workers:           2,
 		IdleCheckInterval: 25 * time.Millisecond,
 	})
-	ts := srv.(*tcpServer)
+	ts := srv.(*streamServer)
 	for i := 0; i < 10; i++ {
 		c, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
@@ -143,7 +143,7 @@ func TestSCTPSimEndToEnd(t *testing.T) {
 // connections (the §6 deadlock-avoidance path).
 func TestSupervisorAssignsUnderMailboxPressure(t *testing.T) {
 	srv := startServer(t, Config{Arch: ArchTCP, Workers: 2})
-	ts := srv.(*tcpServer)
+	ts := srv.(*streamServer)
 	const n = 150 // > newConns buffer (64) per worker is hard; just exercise bursts
 	conns := make([]net.Conn, 0, n)
 	defer func() {
@@ -193,7 +193,7 @@ func TestFDCacheCapacityBound(t *testing.T) {
 	assertClean(t, res, 15)
 	// The cache is worker-private; inspect it only after the workers exit.
 	srv.Close()
-	for _, w := range srv.(*tcpServer).workers {
+	for _, w := range srv.(*streamServer).workers {
 		if w.cache == nil {
 			t.Fatal("cache not constructed")
 		}

@@ -8,12 +8,8 @@ import (
 
 	"gosip/internal/location"
 	"gosip/internal/metrics"
-	"gosip/internal/proxy"
 	"gosip/internal/sipmsg"
-	"gosip/internal/timerlist"
-	"gosip/internal/trace"
 	"gosip/internal/transport"
-	"gosip/internal/userdb"
 )
 
 // udpServer is the §3.2 architecture: all worker goroutines are symmetric,
@@ -34,10 +30,9 @@ import (
 //
 // Both default off, leaving the one-syscall-per-message baseline intact.
 type udpServer struct {
-	sub      *substrate
+	*substrate
 	socks    []*transport.UDPSocket
 	egresses []*transport.Egress // all owned egress queues (empty unbatched)
-	engine   *proxy.Engine
 	faults   *faultGate
 
 	wg     sync.WaitGroup
@@ -188,17 +183,16 @@ func newUDPServer(cfg Config) (Server, error) {
 	}
 
 	local := first.LocalAddr()
-	engine := proxy.NewEngine(sub.engineConfig(transport.UDP, local.IP.String(), local.Port), sub.loc, sub.db, sub.txns, sub.prof)
+	sub.bindEngine(transport.UDP, local.IP.String(), local.Port)
 	faults := newFaultGate(cfg.Faults)
 	cache := newResolveCache(sub.prof)
 	batching := cfg.UDPBatch > 1
 
 	srv := &udpServer{
-		sub:    sub,
-		socks:  socks,
-		engine: engine,
-		faults: faults,
-		closed: make(chan struct{}),
+		substrate: sub,
+		socks:     socks,
+		faults:    faults,
+		closed:    make(chan struct{}),
 	}
 
 	// The timer process sends retransmissions from outside any worker loop.
@@ -210,7 +204,7 @@ func newUDPServer(cfg Config) (Server, error) {
 		timerSender.egress = eg
 		srv.egresses = append(srv.egresses, eg)
 	}
-	engine.SetTimerSender(timerSender)
+	sub.engine.SetTimerSender(timerSender)
 
 	for i := 0; i < cfg.Workers; i++ {
 		sock := socks[i%nShards]
@@ -236,17 +230,17 @@ func (s *udpServer) process(sender *udpSender, pkt transport.Packet) {
 	if s.faults.dropRx() {
 		return
 	}
-	m, ok := s.sub.parseOrCount(pkt.Data)
+	m, ok := s.parseOrCount(pkt.Data)
 	if !ok {
 		return
 	}
 	// Admission control runs before any transaction or database work: a
 	// rejected request costs one 503 serialization and nothing else.
-	if !s.sub.admit(sender, m, pkt.Src, 0) {
+	if !s.admit(sender, m, pkt.Src, 0) {
 		m.Release()
 		return
 	}
-	s.sub.handleTimed(s.engine, sender, m, pkt.Src)
+	s.handleTimed(sender, m, pkt.Src)
 	// The engine retained the message if it needed it (transaction store);
 	// the worker's reference is done.
 	m.Release()
@@ -279,7 +273,7 @@ func (s *udpServer) worker(sock *transport.UDPSocket, sender *udpSender) {
 // on this path at all.
 func (s *udpServer) batchWorker(sock *transport.UDPSocket, sender *udpSender, eg *transport.Egress) {
 	defer s.wg.Done()
-	br := sock.NewBatchReader(s.sub.cfg.UDPBatch)
+	br := sock.NewBatchReader(s.cfg.UDPBatch)
 	for {
 		n, err := sock.ReadBatch(br)
 		if err != nil {
@@ -307,13 +301,7 @@ func isClosedErr(err error) bool {
 	return errors.Is(err, net.ErrClosed)
 }
 
-func (s *udpServer) Addr() string                { return s.socks[0].LocalAddr().String() }
-func (s *udpServer) Engine() *proxy.Engine       { return s.engine }
-func (s *udpServer) Profile() *metrics.Profile   { return s.sub.prof }
-func (s *udpServer) Location() *location.Service { return s.sub.loc }
-func (s *udpServer) DB() *userdb.DB              { return s.sub.db }
-func (s *udpServer) Timers() timerlist.Scheduler { return s.sub.timers }
-func (s *udpServer) Tracer() *trace.Recorder     { return s.sub.rec }
+func (s *udpServer) Addr() string { return s.socks[0].LocalAddr().String() }
 
 // BufferSizes reports the effective socket buffer sizes of the first shard
 // (all shards are configured identically). Exposed for startup logging via
@@ -342,6 +330,6 @@ func (s *udpServer) Close() error {
 		}
 	}
 	s.wg.Wait()
-	s.sub.close()
+	s.substrate.close()
 	return err
 }

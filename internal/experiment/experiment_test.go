@@ -144,7 +144,7 @@ func TestFigureVariantsProduceExpectedConfigs(t *testing.T) {
 
 func TestRunProfileSmoke(t *testing.T) {
 	sc := tinyScale()
-	// Worker assignment is intentionally randomized (see tcpServer.rng), so
+	// Worker assignment is intentionally randomized (see supervisor.rng in package core), so
 	// a pair can land both halves on one worker and pay no IPC for it. Six
 	// pairs make an all-pairs-co-located run — which would read as zero
 	// baseline IPC — vanishingly unlikely.

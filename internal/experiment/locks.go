@@ -19,8 +19,8 @@ import (
 // LocksScale shapes the lock-and-timer sweep: the same closed-loop call
 // workload as the figures, run against servers that differ only in the
 // synchronization structure of the transaction hot path — timer policy
-// (binary heap vs sharded wheel), transaction-table shard count, and
-// threaded-server dispatch (round-robin vs peer affinity). The measures of
+// (binary heap vs sharded wheel) and transaction-table shard count, on the
+// datagram and the threaded stream architecture. The measures of
 // interest are ops/s and the contended lock-wait time the server itself
 // accounts, variant by variant against the paper-faithful baseline.
 type LocksScale struct {
@@ -67,7 +67,6 @@ type LocksVariant struct {
 	Transport transport.Kind
 	TimerImpl timerlist.Impl
 	TxnShards int
-	Dispatch  core.Dispatch
 }
 
 func txnLabel(n int) string {
@@ -79,7 +78,7 @@ func txnLabel(n int) string {
 
 // variants builds the sweep rows: the stateful UDP proxy (where the Timer
 // A/B and linger churn lives) across heap shard counts and the wheel, then
-// the threaded server across dispatch policies.
+// the threaded server on the heap and the wheel.
 func (sc LocksScale) variants() []LocksVariant {
 	var vs []LocksVariant
 	for _, n := range sc.TxnShards {
@@ -91,12 +90,10 @@ func (sc LocksScale) variants() []LocksVariant {
 	vs = append(vs,
 		LocksVariant{Name: "udp/wheel/" + txnLabel(0), Arch: core.ArchUDP,
 			Transport: transport.UDP, TimerImpl: timerlist.ImplWheel},
-		LocksVariant{Name: "threaded/rr", Arch: core.ArchThreaded,
-			Transport: transport.TCP, TimerImpl: timerlist.ImplHeap, Dispatch: core.DispatchRR},
-		LocksVariant{Name: "threaded/affinity", Arch: core.ArchThreaded,
-			Transport: transport.TCP, TimerImpl: timerlist.ImplHeap, Dispatch: core.DispatchAffinity},
-		LocksVariant{Name: "threaded/affinity+wheel", Arch: core.ArchThreaded,
-			Transport: transport.TCP, TimerImpl: timerlist.ImplWheel, Dispatch: core.DispatchAffinity},
+		LocksVariant{Name: "threaded/heap", Arch: core.ArchThreaded,
+			Transport: transport.TCP, TimerImpl: timerlist.ImplHeap},
+		LocksVariant{Name: "threaded/wheel", Arch: core.ArchThreaded,
+			Transport: transport.TCP, TimerImpl: timerlist.ImplWheel},
 	)
 	return vs
 }
@@ -152,24 +149,22 @@ func (r *LocksReport) Cell(name string, pairs int) *LocksCell {
 }
 
 // Gains compares, at the highest pair count, the wheel against the heap on
-// the UDP rows and affinity against round-robin on the threaded rows
-// (ops/s ratios; 0 when a cell is missing).
-func (r *LocksReport) Gains() (wheelRatio, affinityRatio float64) {
+// the UDP rows and on the threaded rows (ops/s ratios; 0 when a cell is
+// missing).
+func (r *LocksReport) Gains() (udpWheel, threadedWheel float64) {
 	if len(r.Scale.Pairs) == 0 {
 		return 0, 0
 	}
 	top := r.Scale.Pairs[len(r.Scale.Pairs)-1]
-	heap := r.Cell("udp/heap/"+txnLabel(0), top)
-	wheel := r.Cell("udp/wheel/"+txnLabel(0), top)
-	if heap != nil && wheel != nil && heap.Result.Throughput > 0 {
-		wheelRatio = wheel.Result.Throughput / heap.Result.Throughput
+	ratio := func(heapRow, wheelRow string) float64 {
+		heap, wheel := r.Cell(heapRow, top), r.Cell(wheelRow, top)
+		if heap == nil || wheel == nil || heap.Result.Throughput <= 0 {
+			return 0
+		}
+		return wheel.Result.Throughput / heap.Result.Throughput
 	}
-	rr := r.Cell("threaded/rr", top)
-	aff := r.Cell("threaded/affinity", top)
-	if rr != nil && aff != nil && rr.Result.Throughput > 0 {
-		affinityRatio = aff.Result.Throughput / rr.Result.Throughput
-	}
-	return wheelRatio, affinityRatio
+	return ratio("udp/heap/"+txnLabel(0), "udp/wheel/"+txnLabel(0)),
+		ratio("threaded/heap", "threaded/wheel")
 }
 
 // RunLocks sweeps variant × offered load. Each cell runs on a fresh server
@@ -226,12 +221,11 @@ func runLocksCell(sc LocksScale, v LocksVariant, pairs int) (*LocksCell, error) 
 		// policies are compared under actually builds up.
 		Stateful: true,
 		Domain:   "bench.gosip",
-		// The threaded rows run on the tuned connection manager so dispatch
-		// is measured on top of the fixed server.
+		// The threaded rows run on the tuned connection manager so the
+		// timer policy is measured on top of the fixed server.
 		ConnMgr:     connmgr.KindPQueue,
 		TimerImpl:   v.TimerImpl,
 		TimerShards: sc.TimerShards,
-		Dispatch:    v.Dispatch,
 	}
 	cfg.Txn.Shards = v.TxnShards
 	cfg.Txn.Linger = sc.Linger
@@ -322,9 +316,9 @@ func (r *LocksReport) Table() string {
 				v.Name, c.PeakPending, c.PeakCancelledResident, c.Scheduled, c.Fired)
 		}
 	}
-	if wheel, aff := r.Gains(); wheel > 0 || aff > 0 {
-		fmt.Fprintf(&b, "\nat %d pairs: wheel vs heap %.2fx ops/s (UDP), affinity vs rr %.2fx ops/s (threaded)\n",
-			top, wheel, aff)
+	if udp, threaded := r.Gains(); udp > 0 || threaded > 0 {
+		fmt.Fprintf(&b, "\nat %d pairs: wheel vs heap %.2fx ops/s (UDP), %.2fx ops/s (threaded)\n",
+			top, udp, threaded)
 	}
 	return b.String()
 }
