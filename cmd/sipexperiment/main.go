@@ -26,9 +26,216 @@ import (
 	"gosip/internal/transport"
 )
 
+// cli is the parsed command line every figure reads.
+type cli struct {
+	sc       experiment.Scale
+	clients  []int // -clients, nil when unset
+	calls    int
+	workers  int
+	prefill  int
+	md       bool
+	progress func(string)
+}
+
+// scale applies -clients, -calls and -workers to one experiment's load
+// points, per-caller count and worker count.
+func (c *cli) scale(loads *[]int, calls, workers *int) {
+	if c.clients != nil {
+		*loads = c.clients
+	}
+	if c.calls > 0 {
+		*calls = c.calls
+	}
+	if c.workers > 0 {
+		*workers = c.workers
+	}
+}
+
+// mid is the middle client count, where the single-load experiments run.
+func (c *cli) mid() int { return c.sc.Clients[len(c.sc.Clients)/2] }
+
+// report is what the swept experiments return.
+type report interface {
+	Table() string
+	Markdown() string
+}
+
+// show prints a finished report's text table, and its Markdown under -md.
+func (c *cli) show(rep report, err error) error {
+	if err != nil {
+		return err
+	}
+	fmt.Println()
+	fmt.Print(rep.Table())
+	if c.md {
+		fmt.Println()
+		fmt.Print(rep.Markdown())
+	}
+	return nil
+}
+
+// figure is one -fig entry: it runs the experiment and prints its report.
+type figure struct {
+	name string
+	run  func(*cli) error
+}
+
+// figures is every experiment in -fig all order; the -fig usage text and
+// the unknown-name error are built from it.
+var figures = []figure{
+	{"3", func(c *cli) error { return c.matrix(experiment.Figure3) }},
+	{"4", func(c *cli) error { return c.matrix(experiment.Figure4) }},
+	{"5", func(c *cli) error { return c.matrix(experiment.Figure5) }},
+	{"profile", func(c *cli) error {
+		rep, err := experiment.RunProfile(c.sc, c.mid(), c.progress)
+		if err != nil {
+			return err
+		}
+		fmt.Println()
+		fmt.Print(rep.String())
+		return nil
+	}},
+	{"priority", func(c *cli) error {
+		boosted, starved, err := experiment.RunPriority(c.sc, c.mid(), 500*time.Microsecond, c.progress)
+		if err != nil {
+			return err
+		}
+		fmt.Println()
+		fmt.Printf("Supervisor priority effect (paper §4.3, +40–100%% from boosting):\n")
+		fmt.Printf("  starved supervisor: %8.0f ops/s\n", starved)
+		fmt.Printf("  boosted supervisor: %8.0f ops/s  (+%.0f%%)\n", boosted, 100*(boosted-starved)/starved)
+		return nil
+	}},
+	{"arch", func(c *cli) error {
+		out, err := experiment.RunArchitectures(c.sc, c.mid(),
+			experiment.Workload{Name: "TCP persistent", Transport: transport.TCP}, c.progress)
+		if err != nil {
+			return err
+		}
+		fmt.Println()
+		fmt.Println("Architecture comparison (§6 discussion, TCP persistent workload):")
+		for _, name := range []string{"TCP fixed (fdcache+pq)", "Threaded (§6)", "SCTP-sim (§6)", "UDP"} {
+			fmt.Printf("  %-24s %8.0f ops/s\n", name, out[name])
+		}
+		return nil
+	}},
+	{"scenarios", func(c *cli) error {
+		out, err := experiment.RunScenarios(c.sc, c.mid(), c.progress)
+		if err != nil {
+			return err
+		}
+		fmt.Println()
+		fmt.Println("Server-role comparison (§2 roles; related work expects auth most expensive):")
+		for _, name := range []string{"registration", "redirect", "proxy", "proxy+auth"} {
+			fmt.Printf("  %-12s %8.0f ops/s\n", name, out[name])
+		}
+		return nil
+	}},
+	{"loss", func(c *cli) error {
+		rates := []float64{0, 0.02, 0.05, 0.10}
+		out, err := experiment.RunLoss(c.sc, c.mid(), rates, c.progress)
+		if err != nil {
+			return err
+		}
+		fmt.Println()
+		fmt.Println("Datagram loss sweep (stateful UDP proxy; calls complete via retransmission):")
+		for _, r := range rates {
+			res := out[r]
+			fmt.Printf("  %4.0f%% loss: %8.0f ops/s  (%d rtx, %d failed)\n",
+				100*r, res.Throughput, res.Retransmits, res.CallsFailed)
+		}
+		return nil
+	}},
+	{"stages", func(c *cli) error {
+		cells, err := experiment.RunStages(c.sc, c.mid(), c.progress)
+		if err != nil {
+			return err
+		}
+		fmt.Println()
+		fmt.Printf("Per-stage latency percentiles (%d clients; Figures 4/5 as distributions):\n", c.mid())
+		fmt.Print(experiment.StageTable(cells))
+		if len(cells) > 0 {
+			last := cells[len(cells)-1]
+			fmt.Println()
+			fmt.Printf("Run timeline, %s (per-interval ops/s and stage P99):\n", last.Name)
+			fmt.Print(last.SeriesTable())
+		}
+		if c.md {
+			fmt.Println()
+			fmt.Print(experiment.StageMarkdown(cells))
+		}
+		return nil
+	}},
+	{"transports", func(c *cli) error { return c.show(experiment.RunTransports(c.sc, c.progress)) }},
+	{"overload", func(c *cli) error {
+		sc := experiment.DefaultOverloadScale()
+		c.scale(&sc.Pairs, &sc.CallsPerCaller, &sc.Workers)
+		return c.show(experiment.RunOverload(sc, c.progress))
+	}},
+	{"batching", func(c *cli) error {
+		sc := experiment.DefaultBatchingScale()
+		c.scale(&sc.Pairs, &sc.CallsPerCaller, &sc.Workers)
+		return c.show(experiment.RunBatching(sc, c.progress))
+	}},
+	{"locks", func(c *cli) error {
+		sc := experiment.DefaultLocksScale()
+		c.scale(&sc.Pairs, &sc.CallsPerCaller, &sc.Workers)
+		return c.show(experiment.RunLocks(sc, c.progress))
+	}},
+	{"register", func(c *cli) error {
+		sc := experiment.DefaultRegisterScale()
+		c.scale(&sc.Phones, &sc.RegistersPerPhone, &sc.Workers)
+		if c.prefill > 0 {
+			sc.Prefill = c.prefill
+		}
+		return c.show(experiment.RunRegister(sc, c.progress))
+	}},
+	{"outliers", func(c *cli) error {
+		sc := experiment.DefaultOutlierScale()
+		pairs := []int{sc.Pairs}
+		c.scale(&pairs, &sc.CallsPerCaller, &sc.Workers)
+		sc.Pairs = pairs[len(pairs)/2]
+		return c.show(experiment.RunOutliers(sc, c.progress))
+	}},
+}
+
+// matrix runs one of Figures 3–5 and prints its chart, table, TCP/UDP
+// range, and the run timelines of the top client count.
+func (c *cli) matrix(run func(experiment.Scale, func(string)) (*experiment.Figure, error)) error {
+	fig, err := run(c.sc, c.progress)
+	if err != nil {
+		return err
+	}
+	fmt.Println()
+	fmt.Print(fig.Chart())
+	fmt.Println()
+	fmt.Print(fig.Table())
+	lo, hi := fig.TCPOfUDPRange()
+	fmt.Printf("TCP as %% of UDP across the matrix: %.0f%%–%.0f%%\n", lo, hi)
+	maxClients := c.sc.Clients[len(c.sc.Clients)-1]
+	for _, name := range []string{"TCP persistent", "UDP"} {
+		cell := fig.CellFor(name, maxClients)
+		if cell == nil || len(cell.Series.Samples) == 0 {
+			continue
+		}
+		fmt.Println()
+		fmt.Printf("Run timeline, %s @ %d clients (per-interval ops/s and stage P99):\n", name, maxClients)
+		fmt.Print(cell.SeriesTable())
+	}
+	if c.md {
+		fmt.Println()
+		fmt.Print(fig.Markdown())
+	}
+	return nil
+}
+
 func main() {
+	var names []string
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
 	var (
-		fig     = flag.String("fig", "all", "which experiment: 3, 4, 5, profile, priority, arch, stages, transports, overload, batching, locks, register, outliers, or all")
+		fig     = flag.String("fig", "all", "which experiments, comma-separated: "+strings.Join(names, ", ")+", or all")
 		prefill = flag.Int("prefill", 0, "register sweep: pre-filled bindings in the location store (default 1000000)")
 		clients = flag.String("clients", "", "comma-separated client counts (default scale: 10,50,100)")
 		calls   = flag.Int("calls", 0, "calls per caller (default 100)")
@@ -40,268 +247,49 @@ func main() {
 	)
 	flag.Parse()
 
-	sc := experiment.DefaultScale()
+	c := &cli{sc: experiment.DefaultScale(), calls: *calls, workers: *workers, prefill: *prefill, md: *md,
+		progress: func(s string) { fmt.Fprintln(os.Stderr, s) }}
 	if *paper {
-		sc = experiment.PaperScale()
+		c.sc = experiment.PaperScale()
 	}
 	if *clients != "" {
-		sc.Clients = nil
 		for _, part := range strings.Split(*clients, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || n <= 0 {
 				fatalf("bad -clients value %q", part)
 			}
-			sc.Clients = append(sc.Clients, n)
+			c.clients = append(c.clients, n)
 		}
 	}
-	if *calls > 0 {
-		sc.CallsPerCaller = *calls
-	}
-	if *workers > 0 {
-		sc.Workers = *workers
-	}
+	c.scale(&c.sc.Clients, &c.sc.CallsPerCaller, &c.sc.Workers)
 	if *ipcMode != "" {
-		sc.IPCMode = ipc.Mode(*ipcMode)
+		c.sc.IPCMode = ipc.Mode(*ipcMode)
 	}
-
-	progress := func(s string) { fmt.Fprintln(os.Stderr, s) }
 	if *quiet {
-		progress = nil
+		c.progress = nil
 	}
 
-	which := strings.Split(*fig, ",")
-	if *fig == "all" {
-		which = []string{"3", "4", "5", "profile", "priority", "arch", "scenarios", "loss", "stages", "transports", "overload", "batching", "locks", "register", "outliers"}
+	which := names
+	if *fig != "all" {
+		which = strings.Split(*fig, ",")
 	}
 	start := time.Now()
-	for _, f := range which {
-		switch strings.TrimSpace(f) {
-		case "3":
-			runFigure(experiment.Figure3, sc, progress, *md)
-		case "4":
-			runFigure(experiment.Figure4, sc, progress, *md)
-		case "5":
-			runFigure(experiment.Figure5, sc, progress, *md)
-		case "profile":
-			mid := sc.Clients[len(sc.Clients)/2]
-			rep, err := experiment.RunProfile(sc, mid, progress)
-			if err != nil {
-				fatalf("profile: %v", err)
+	for _, name := range which {
+		name = strings.TrimSpace(name)
+		var run func(*cli) error
+		for _, f := range figures {
+			if f.name == name {
+				run = f.run
 			}
-			fmt.Println()
-			fmt.Print(rep.String())
-		case "priority":
-			mid := sc.Clients[len(sc.Clients)/2]
-			boosted, starved, err := experiment.RunPriority(sc, mid, 500*time.Microsecond, progress)
-			if err != nil {
-				fatalf("priority: %v", err)
-			}
-			fmt.Println()
-			fmt.Printf("Supervisor priority effect (paper §4.3, +40–100%% from boosting):\n")
-			fmt.Printf("  starved supervisor: %8.0f ops/s\n", starved)
-			fmt.Printf("  boosted supervisor: %8.0f ops/s  (+%.0f%%)\n", boosted, 100*(boosted-starved)/starved)
-		case "scenarios":
-			mid := sc.Clients[len(sc.Clients)/2]
-			out, err := experiment.RunScenarios(sc, mid, progress)
-			if err != nil {
-				fatalf("scenarios: %v", err)
-			}
-			fmt.Println()
-			fmt.Println("Server-role comparison (§2 roles; related work expects auth most expensive):")
-			for _, name := range []string{"registration", "redirect", "proxy", "proxy+auth"} {
-				fmt.Printf("  %-12s %8.0f ops/s\n", name, out[name])
-			}
-		case "loss":
-			mid := sc.Clients[len(sc.Clients)/2]
-			rates := []float64{0, 0.02, 0.05, 0.10}
-			out, err := experiment.RunLoss(sc, mid, rates, progress)
-			if err != nil {
-				fatalf("loss: %v", err)
-			}
-			fmt.Println()
-			fmt.Println("Datagram loss sweep (stateful UDP proxy; calls complete via retransmission):")
-			for _, r := range rates {
-				res := out[r]
-				fmt.Printf("  %4.0f%% loss: %8.0f ops/s  (%d rtx, %d failed)\n",
-					100*r, res.Throughput, res.Retransmits, res.CallsFailed)
-			}
-		case "stages":
-			mid := sc.Clients[len(sc.Clients)/2]
-			cells, err := experiment.RunStages(sc, mid, progress)
-			if err != nil {
-				fatalf("stages: %v", err)
-			}
-			fmt.Println()
-			fmt.Printf("Per-stage latency percentiles (%d clients; Figures 4/5 as distributions):\n", mid)
-			fmt.Print(experiment.StageTable(cells))
-			if len(cells) > 0 {
-				last := cells[len(cells)-1]
-				fmt.Println()
-				fmt.Printf("Run timeline, %s (per-interval ops/s and stage P99):\n", last.Name)
-				fmt.Print(last.Series.Table("proxy.messages", last.Series.ActiveStages(experiment.SeriesStages())))
-			}
-			if *md {
-				fmt.Println()
-				fmt.Print(experiment.StageMarkdown(cells))
-			}
-		case "arch":
-			mid := sc.Clients[len(sc.Clients)/2]
-			out, err := experiment.RunArchitectures(sc, mid,
-				experiment.Workload{Name: "TCP persistent", Transport: transport.TCP}, progress)
-			if err != nil {
-				fatalf("arch: %v", err)
-			}
-			fmt.Println()
-			fmt.Println("Architecture comparison (§6 discussion, TCP persistent workload):")
-			for _, name := range []string{"TCP fixed (fdcache+pq)", "Threaded (§6)", "SCTP-sim (§6)", "UDP"} {
-				fmt.Printf("  %-24s %8.0f ops/s\n", name, out[name])
-			}
-		case "transports":
-			rep, err := experiment.RunTransports(sc, progress)
-			if err != nil {
-				fatalf("transports: %v", err)
-			}
-			fmt.Println()
-			fmt.Print(rep.Table())
-			if *md {
-				fmt.Println()
-				fmt.Print(rep.Markdown())
-			}
-		case "overload":
-			osc := experiment.DefaultOverloadScale()
-			if *clients != "" {
-				osc.Pairs = sc.Clients
-			}
-			if *calls > 0 {
-				osc.CallsPerCaller = *calls
-			}
-			if *workers > 0 {
-				osc.Workers = *workers
-			}
-			rep, err := experiment.RunOverload(osc, progress)
-			if err != nil {
-				fatalf("overload: %v", err)
-			}
-			fmt.Println()
-			fmt.Print(rep.Table())
-			if *md {
-				fmt.Print(rep.Markdown())
-			}
-		case "batching":
-			bsc := experiment.DefaultBatchingScale()
-			if *clients != "" {
-				bsc.Pairs = sc.Clients
-			}
-			if *calls > 0 {
-				bsc.CallsPerCaller = *calls
-			}
-			if *workers > 0 {
-				bsc.Workers = *workers
-			}
-			rep, err := experiment.RunBatching(bsc, progress)
-			if err != nil {
-				fatalf("batching: %v", err)
-			}
-			fmt.Println()
-			fmt.Print(rep.Table())
-			if *md {
-				fmt.Print(rep.Markdown())
-			}
-		case "locks":
-			lsc := experiment.DefaultLocksScale()
-			if *clients != "" {
-				lsc.Pairs = sc.Clients
-			}
-			if *calls > 0 {
-				lsc.CallsPerCaller = *calls
-			}
-			if *workers > 0 {
-				lsc.Workers = *workers
-			}
-			rep, err := experiment.RunLocks(lsc, progress)
-			if err != nil {
-				fatalf("locks: %v", err)
-			}
-			fmt.Println()
-			fmt.Print(rep.Table())
-			if *md {
-				fmt.Print(rep.Markdown())
-			}
-		case "outliers":
-			osc := experiment.DefaultOutlierScale()
-			if *clients != "" {
-				osc.Pairs = sc.Clients[len(sc.Clients)/2]
-			}
-			if *calls > 0 {
-				osc.CallsPerCaller = *calls
-			}
-			if *workers > 0 {
-				osc.Workers = *workers
-			}
-			rep, err := experiment.RunOutliers(osc, progress)
-			if err != nil {
-				fatalf("outliers: %v", err)
-			}
-			fmt.Println()
-			fmt.Print(rep.Table())
-			if *md {
-				fmt.Print(rep.Markdown())
-			}
-		case "register":
-			rsc := experiment.DefaultRegisterScale()
-			if *clients != "" {
-				rsc.Phones = sc.Clients
-			}
-			if *calls > 0 {
-				rsc.RegistersPerPhone = *calls
-			}
-			if *workers > 0 {
-				rsc.Workers = *workers
-			}
-			if *prefill > 0 {
-				rsc.Prefill = *prefill
-			}
-			rep, err := experiment.RunRegister(rsc, progress)
-			if err != nil {
-				fatalf("register: %v", err)
-			}
-			fmt.Println()
-			fmt.Print(rep.Table())
-			if *md {
-				fmt.Print(rep.Markdown())
-			}
-		default:
-			fatalf("unknown experiment %q", f)
+		}
+		if run == nil {
+			fatalf("unknown experiment %q (want %s, or all)", name, strings.Join(names, ", "))
+		}
+		if err := run(c); err != nil {
+			fatalf("%s: %v", name, err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "\ntotal experiment time: %v\n", time.Since(start).Round(time.Second))
-}
-
-func runFigure(f func(experiment.Scale, func(string)) (*experiment.Figure, error), sc experiment.Scale, progress func(string), md bool) {
-	fig, err := f(sc, progress)
-	if err != nil {
-		fatalf("figure: %v", err)
-	}
-	fmt.Println()
-	fmt.Print(fig.Chart())
-	fmt.Println()
-	fmt.Print(fig.Table())
-	lo, hi := fig.TCPOfUDPRange()
-	fmt.Printf("TCP as %% of UDP across the matrix: %.0f%%–%.0f%%\n", lo, hi)
-	maxClients := sc.Clients[len(sc.Clients)-1]
-	for _, name := range []string{"TCP persistent", "UDP"} {
-		c := fig.CellFor(name, maxClients)
-		if c == nil || len(c.Series.Samples) == 0 {
-			continue
-		}
-		fmt.Println()
-		fmt.Printf("Run timeline, %s @ %d clients (per-interval ops/s and stage P99):\n", name, maxClients)
-		fmt.Print(c.SeriesTable())
-	}
-	if md {
-		fmt.Println()
-		fmt.Print(fig.Markdown())
-	}
 }
 
 func fatalf(format string, args ...any) {

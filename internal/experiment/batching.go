@@ -2,9 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"strings"
 
 	"gosip/internal/connmgr"
 	"gosip/internal/core"
@@ -108,9 +105,9 @@ func (sc BatchingScale) variants() []BatchingVariant {
 // BatchingCell is one (variant, pairs) measurement with the server-side
 // syscall accounting harvested after the run.
 type BatchingCell struct {
+	Measured
 	Variant BatchingVariant
 	Pairs   int
-	Result  loadgen.Result
 
 	RecvSyscalls, RecvMsgs int64
 	SendSyscalls, SendMsgs int64
@@ -154,93 +151,53 @@ type BatchingReport struct {
 
 // Cell returns the measurement for (variant name, pairs), or nil.
 func (r *BatchingReport) Cell(name string, pairs int) *BatchingCell {
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Variant.Name == name && c.Pairs == pairs {
-			return c
-		}
-	}
-	return nil
+	return lookup(r.Cells, name, pairs)
 }
 
 // Gain compares the combined batch+shard UDP variant against the UDP
 // baseline at the highest pair count: the ops/s ratio and the factor by
 // which syscalls per operation fell.
 func (r *BatchingReport) Gain() (opsRatio, syscallFactor float64) {
-	if len(r.Scale.Pairs) == 0 {
-		return 0, 0
-	}
-	top := r.Scale.Pairs[len(r.Scale.Pairs)-1]
-	base := r.Cell("udp/base", top)
+	at := top(r.Scale.Pairs)
+	base := r.Cell("udp/base", at)
 	if base == nil {
 		return 0, 0
 	}
 	var best *BatchingCell
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		if c.Pairs == top && c.Variant.UDPBatch > 1 && c.Variant.UDPShards > 1 {
+		if c.Pairs == at && c.Variant.UDPBatch > 1 && c.Variant.UDPShards > 1 {
 			best = c
 		}
 	}
 	if best == nil {
 		return 0, 0
 	}
-	if base.Result.Throughput > 0 {
-		opsRatio = best.Result.Throughput / base.Result.Throughput
-	}
+	opsRatio = ratio(r.Cells, best.row, base.row, at)
 	if s := best.SyscallsPerOp(); s > 0 {
 		syscallFactor = base.SyscallsPerOp() / s
 	}
 	return opsRatio, syscallFactor
 }
 
-// RunBatching sweeps variant × offered load. Each cell runs on a fresh
-// server Reps times and the median-throughput run is kept. Repetitions are
-// interleaved across cells — rep 1 of every cell, then rep 2, and so on —
-// so a slow stretch on a shared host lands on all variants instead of
-// biasing whichever cell happened to be running.
+// RunBatching sweeps variant × offered load, Reps interleaved runs per cell
+// on fresh servers, keeping each cell's median-throughput run.
 func RunBatching(sc BatchingScale, progress func(string)) (*BatchingReport, error) {
-	rep := &BatchingReport{Scale: sc}
-	reps := sc.Reps
-	if reps < 1 {
-		reps = 1
+	cells, err := sweep(sweepSpec[BatchingVariant, BatchingCell]{
+		tag: "batching", rows: sc.variants(), name: func(v BatchingVariant) string { return v.Name },
+		loads: sc.Pairs, unit: "pairs", reps: sc.Reps,
+		run: func(v BatchingVariant, pairs int) (BatchingCell, error) { return runBatchingCell(sc, v, pairs) },
+		note: func(c *BatchingCell) string {
+			return fmt.Sprintf("%.2f syscalls/op, %.1f msgs/syscall", c.SyscallsPerOp(), c.MsgsPerSyscall())
+		},
+	}, progress)
+	if err != nil {
+		return nil, err
 	}
-	type key struct {
-		name  string
-		pairs int
-	}
-	runs := map[key][]*BatchingCell{}
-	for i := 0; i < reps; i++ {
-		for _, v := range sc.variants() {
-			for _, pairs := range sc.Pairs {
-				runtime.GC() // level the allocator debt left by the previous cell
-				cell, err := runBatchingCell(sc, v, pairs)
-				if err != nil {
-					return nil, fmt.Errorf("batching (%s, %d pairs): %w", v.Name, pairs, err)
-				}
-				k := key{v.Name, pairs}
-				runs[k] = append(runs[k], cell)
-			}
-		}
-	}
-	for _, v := range sc.variants() {
-		for _, pairs := range sc.Pairs {
-			cells := runs[key{v.Name, pairs}]
-			sort.Slice(cells, func(i, j int) bool {
-				return cells[i].Result.Throughput < cells[j].Result.Throughput
-			})
-			cell := cells[len(cells)/2]
-			rep.Cells = append(rep.Cells, *cell)
-			if progress != nil {
-				progress(fmt.Sprintf("[batching] %-18s %3d pairs: %s (%.2f syscalls/op, %.1f msgs/syscall)",
-					v.Name, pairs, cell.Result, cell.SyscallsPerOp(), cell.MsgsPerSyscall()))
-			}
-		}
-	}
-	return rep, nil
+	return &BatchingReport{Scale: sc, Cells: cells}, nil
 }
 
-func runBatchingCell(sc BatchingScale, v BatchingVariant, pairs int) (*BatchingCell, error) {
+func runBatchingCell(sc BatchingScale, v BatchingVariant, pairs int) (BatchingCell, error) {
 	cfg := core.Config{
 		Arch:    v.Arch,
 		Workers: sc.Workers,
@@ -261,99 +218,46 @@ func runBatchingCell(sc BatchingScale, v BatchingVariant, pairs int) (*BatchingC
 		TCPCoalesce: v.Coalesce,
 		SoRcvBuf:    sc.RcvBuf,
 	}
-	srv, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	srv.DB().ProvisionN(2*pairs, cfg.Domain)
-
-	res, err := loadgen.Run(loadgen.Config{
+	run, err := runServer(cfg, loadgen.Config{
 		Transport:      v.Transport,
-		ProxyAddr:      srv.Addr(),
-		Domain:         cfg.Domain,
 		Pairs:          pairs,
 		CallsPerCaller: sc.CallsPerCaller,
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	p := srv.Profile()
-	cell := &BatchingCell{
+	n := run.snap.Counters
+	return BatchingCell{
+		Measured:     Measured{Result: run.res},
 		Variant:      v,
 		Pairs:        pairs,
-		Result:       res,
-		RecvSyscalls: p.Counter(metrics.MetricUDPRecvSyscalls).Value(),
-		RecvMsgs:     p.Counter(metrics.MetricUDPRecvMsgs).Value(),
-		SendSyscalls: p.Counter(metrics.MetricUDPSendSyscalls).Value(),
-		SendMsgs:     p.Counter(metrics.MetricUDPSendMsgs).Value(),
-		WriteCalls:   p.Counter(metrics.MetricTCPWriteCalls).Value(),
-		WriteMsgs:    p.Counter(metrics.MetricTCPWriteMsgs).Value(),
-		PoolDropped:  p.Counter(metrics.MetricUDPPoolDropped).Value(),
-	}
-	if cell.PoolDropped != 0 {
-		return nil, fmt.Errorf("buffer pool dropped %d buffers (recycling broke)", cell.PoolDropped)
-	}
-	return cell, nil
+		RecvSyscalls: n[metrics.MetricUDPRecvSyscalls],
+		RecvMsgs:     n[metrics.MetricUDPRecvMsgs],
+		SendSyscalls: n[metrics.MetricUDPSendSyscalls],
+		SendMsgs:     n[metrics.MetricUDPSendMsgs],
+		WriteCalls:   n[metrics.MetricTCPWriteCalls],
+		WriteMsgs:    n[metrics.MetricTCPWriteMsgs],
+		PoolDropped:  n[metrics.MetricUDPPoolDropped],
+	}, err
 }
 
 // Table renders throughput and syscall cost per variant and load point.
 func (r *BatchingReport) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Batched I/O sweep: ops/s and syscalls per completed operation\n\n")
-	fmt.Fprintf(&b, "%-20s", "variant")
-	for _, p := range r.Scale.Pairs {
-		fmt.Fprintf(&b, "%28s", fmt.Sprintf("%d pairs", p))
-	}
-	b.WriteByte('\n')
-	for _, v := range r.Scale.variants() {
-		fmt.Fprintf(&b, "%-20s", v.Name)
-		for _, p := range r.Scale.Pairs {
-			c := r.Cell(v.Name, p)
-			if c == nil {
-				fmt.Fprintf(&b, "%28s", "-")
-				continue
-			}
-			fmt.Fprintf(&b, "%28s", fmt.Sprintf("%.0f ops/s, %.2f sys/op",
-				c.Result.Throughput, c.SyscallsPerOp()))
-		}
-		b.WriteByte('\n')
-	}
+	g := table("variant", "%d pairs", r.Scale.Pairs, r.Cells, func(c *BatchingCell) string {
+		return fmt.Sprintf("%s ops/s, %.2f sys/op", c.tput(), c.SyscallsPerOp())
+	})
+	s := "Batched I/O sweep: ops/s and syscalls per completed operation\n\n" + g.text()
 	if ops, sys := r.Gain(); ops > 0 {
-		fmt.Fprintf(&b, "\nbatch+shard vs baseline at %d pairs: %.2fx ops/s, syscalls/op ÷%.1f\n",
-			r.Scale.Pairs[len(r.Scale.Pairs)-1], ops, sys)
+		s += fmt.Sprintf("\nbatch+shard vs baseline at %d pairs: %.2fx ops/s, syscalls/op ÷%.1f\n",
+			top(r.Scale.Pairs), ops, sys)
 	}
-	return b.String()
+	return s
 }
 
 // Markdown renders the sweep as a GitHub table for EXPERIMENTS.md.
 func (r *BatchingReport) Markdown() string {
-	var b strings.Builder
-	b.WriteString("\n| variant |")
-	for _, p := range r.Scale.Pairs {
-		fmt.Fprintf(&b, " %d pairs (ops/s) |", p)
-	}
-	top := r.Scale.Pairs[len(r.Scale.Pairs)-1]
-	fmt.Fprintf(&b, " syscalls/op @ %d | msgs/syscall @ %d |\n|---|", top, top)
-	for range r.Scale.Pairs {
-		b.WriteString("---|")
-	}
-	b.WriteString("---|---|\n")
-	for _, v := range r.Scale.variants() {
-		fmt.Fprintf(&b, "| %s |", v.Name)
-		for _, p := range r.Scale.Pairs {
-			if c := r.Cell(v.Name, p); c != nil {
-				fmt.Fprintf(&b, " %.0f |", c.Result.Throughput)
-			} else {
-				b.WriteString(" - |")
-			}
-		}
-		if c := r.Cell(v.Name, top); c != nil {
-			fmt.Fprintf(&b, " %.2f | %.1f |\n", c.SyscallsPerOp(), c.MsgsPerSyscall())
-		} else {
-			b.WriteString(" - | - |\n")
-		}
-	}
-	return b.String()
+	at := top(r.Scale.Pairs)
+	return table("variant", "%d pairs (ops/s)", r.Scale.Pairs, r.Cells, func(c *BatchingCell) string { return c.tput() },
+		column[BatchingCell]{fmt.Sprintf("syscalls/op @ %d", at),
+			func(c *BatchingCell) string { return fmt.Sprintf("%.2f", c.SyscallsPerOp()) }},
+		column[BatchingCell]{fmt.Sprintf("msgs/syscall @ %d", at),
+			func(c *BatchingCell) string { return fmt.Sprintf("%.1f", c.MsgsPerSyscall()) }},
+	).markdown()
 }

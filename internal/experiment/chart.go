@@ -24,7 +24,7 @@ func (f *Figure) Chart() string {
 	fmt.Fprintf(&b, "Figure %s: %s\n", f.ID, f.Title)
 	for _, clients := range f.Scale.Clients {
 		fmt.Fprintf(&b, "%d clients\n", clients)
-		for _, w := range f.workloads() {
+		for _, w := range rowNames(f.Cells) {
 			tp := f.Throughput(w, clients)
 			n := int(tp / maxTp * width)
 			if n < 1 && tp > 0 {

@@ -14,7 +14,6 @@ package experiment
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
 	"gosip/internal/connmgr"
@@ -108,9 +107,9 @@ type Variant func(w Workload, sc Scale) core.Config
 
 // Cell is one (workload, client-count) measurement.
 type Cell struct {
+	Measured
 	Workload Workload
 	Clients  int
-	Result   loadgen.Result
 	Snapshot metrics.Snapshot
 	// Series is the run's sampled time series (throughput, per-stage
 	// percentiles, runtime health over the measured window).
@@ -141,9 +140,6 @@ func (c *Cell) SeriesMarkdown() string {
 	return c.Series.Markdown(metrics.MetricMsgsProcessed, stages)
 }
 
-// SeriesStages returns the stage set timeline tables consider.
-func SeriesStages() []string { return append([]string(nil), seriesStages...) }
-
 // Figure is a completed experiment matrix.
 type Figure struct {
 	ID    string
@@ -153,69 +149,54 @@ type Figure struct {
 }
 
 // CellFor returns the measurement for (workload name, clients), or nil.
-func (f *Figure) CellFor(name string, clients int) *Cell { return f.cell(name, clients) }
-
-// cell returns the measurement for (workload name, clients), or nil.
-func (f *Figure) cell(name string, clients int) *Cell {
-	for i := range f.Cells {
-		if f.Cells[i].Workload.Name == name && f.Cells[i].Clients == clients {
-			return &f.Cells[i]
-		}
-	}
-	return nil
-}
+func (f *Figure) CellFor(name string, clients int) *Cell { return lookup(f.Cells, name, clients) }
 
 // Throughput returns ops/s for (workload name, clients), or 0.
 func (f *Figure) Throughput(name string, clients int) float64 {
-	if c := f.cell(name, clients); c != nil {
-		return c.Result.Throughput
-	}
-	return 0
+	return throughput(f.Cells, name, clients)
 }
 
 // RunMatrix measures every workload at every client count with a fresh
 // server per cell. progress, when non-nil, receives one line per cell.
 func RunMatrix(id, title string, sc Scale, variant Variant, workloads []Workload, progress func(string)) (*Figure, error) {
-	fig := &Figure{ID: id, Title: title, Scale: sc}
-	for _, clients := range sc.Clients {
-		for _, w := range workloads {
-			cell, err := runCell(w, clients, sc, variant)
-			if err != nil {
-				return nil, fmt.Errorf("experiment %s (%s, %d clients): %w", id, w.Name, clients, err)
-			}
-			fig.Cells = append(fig.Cells, *cell)
-			if progress != nil {
-				progress(fmt.Sprintf("[fig %s] %-18s %4d clients: %s", id, w.Name, clients, cell.Result))
-			}
-		}
-	}
-	return fig, nil
-}
-
-func runCell(w Workload, clients int, sc Scale, variant Variant) (*Cell, error) {
-	cfg := variant(w, sc)
-	srv, err := core.New(cfg)
+	cells, err := sweep(sweepSpec[Workload, Cell]{
+		tag: "fig " + id, rows: workloads, name: func(w Workload) string { return w.Name },
+		loads: sc.Clients, unit: "clients",
+		run: func(w Workload, clients int) (Cell, error) { return runCell(w, clients, sc, variant) },
+	}, progress)
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Close()
-	srv.DB().ProvisionN(2*clients, cfg.Domain)
+	return &Figure{ID: id, Title: title, Scale: sc, Cells: cells}, nil
+}
 
-	sampler := metrics.StartSampler(srv.Profile(), samplerInterval)
-	res, err := loadgen.Run(loadgen.Config{
+// variantRow is one server variant of a single-load comparison.
+type variantRow struct {
+	name     string
+	workload Workload
+	variant  Variant
+}
+
+// runVariants sweeps server variants at one client count.
+func runVariants(tag string, rows []variantRow, sc Scale, clients int, progress func(string)) ([]Cell, error) {
+	return sweep(sweepSpec[variantRow, Cell]{
+		tag: tag, rows: rows, name: func(v variantRow) string { return v.name },
+		loads: []int{clients}, unit: "clients",
+		run: func(v variantRow, clients int) (Cell, error) { return runCell(v.workload, clients, sc, v.variant) },
+	}, progress)
+}
+
+func runCell(w Workload, clients int, sc Scale, variant Variant) (Cell, error) {
+	c := Cell{Workload: w, Clients: clients}
+	run, err := runServer(variant(w, sc), loadgen.Config{
 		Transport:       w.Transport,
-		ProxyAddr:       srv.Addr(),
-		Domain:          cfg.Domain,
 		Pairs:           clients,
 		CallsPerCaller:  sc.CallsPerCaller,
 		OpsPerConn:      w.OpsPerConn,
 		ResponseTimeout: sc.ResponseTimeout,
-	})
-	series := sampler.Stop()
-	if err != nil {
-		return nil, err
-	}
-	return &Cell{Workload: w, Clients: clients, Result: res, Snapshot: srv.Profile().Snapshot(), Series: series}, nil
+	}, sampled(samplerInterval, &c.Series))
+	c.Result, c.Snapshot = run.res, run.snap
+	return c, err
 }
 
 // baseConfig assembles the parts of the server config every figure shares.
@@ -236,120 +217,55 @@ func baseConfig(w Workload, sc Scale) core.Config {
 	}
 }
 
+// figureVariant is the server Figures 3–5 step through: the fd cache on or
+// off, and the idle-connection manager.
+func figureVariant(fdcache bool, mgr connmgr.Kind) Variant {
+	return func(w Workload, sc Scale) core.Config {
+		cfg := baseConfig(w, sc)
+		cfg.FDCache = fdcache
+		cfg.ConnMgr = mgr
+		return cfg
+	}
+}
+
 // Figure3 is the baseline: no fd cache, full-scan idle management.
 func Figure3(sc Scale, progress func(string)) (*Figure, error) {
 	return RunMatrix("3", "Baseline OpenSER performance", sc,
-		func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			cfg.FDCache = false
-			cfg.ConnMgr = connmgr.KindScan
-			return cfg
-		}, StandardWorkloads(), progress)
+		figureVariant(false, connmgr.KindScan), StandardWorkloads(), progress)
 }
 
 // Figure4 adds the per-worker file-descriptor cache (§5.2).
 func Figure4(sc Scale, progress func(string)) (*Figure, error) {
 	return RunMatrix("4", "File descriptor cache performance", sc,
-		func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			cfg.FDCache = true
-			cfg.ConnMgr = connmgr.KindScan
-			return cfg
-		}, StandardWorkloads(), progress)
+		figureVariant(true, connmgr.KindScan), StandardWorkloads(), progress)
 }
 
 // Figure5 adds priority-queue idle management on top of the cache (§5.3).
 func Figure5(sc Scale, progress func(string)) (*Figure, error) {
 	return RunMatrix("5", "Priority queue performance", sc,
-		func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			cfg.FDCache = true
-			cfg.ConnMgr = connmgr.KindPQueue
-			return cfg
-		}, StandardWorkloads(), progress)
+		figureVariant(true, connmgr.KindPQueue), StandardWorkloads(), progress)
 }
 
-// Table renders a paper-style throughput matrix.
+// Table renders a paper-style throughput matrix, with each TCP workload
+// as a percentage of UDP below it — the quantity the paper's abstract
+// tracks (13–51% baseline → 50–78% fixed).
 func (f *Figure) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure %s: %s (ops/s)\n", f.ID, f.Title)
-	fmt.Fprintf(&b, "%-20s", "workload")
-	for _, c := range f.Scale.Clients {
-		fmt.Fprintf(&b, "%14s", fmt.Sprintf("%d clients", c))
-	}
-	b.WriteByte('\n')
-	for _, w := range f.workloads() {
-		fmt.Fprintf(&b, "%-20s", w)
-		for _, c := range f.Scale.Clients {
-			fmt.Fprintf(&b, "%14.0f", f.Throughput(w, c))
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString(f.ratioLines())
-	return b.String()
+	g := ratioRows(f.grid(), f.Cells, f.Scale.Clients, "UDP", " /UDP", "UDP")
+	return fmt.Sprintf("Figure %s: %s (ops/s)\n", f.ID, f.Title) + g.text()
 }
 
 // Markdown renders the matrix as a Markdown table for EXPERIMENTS.md.
-func (f *Figure) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "| workload |")
-	for _, c := range f.Scale.Clients {
-		fmt.Fprintf(&b, " %d clients |", c)
-	}
-	b.WriteString("\n|---|")
-	for range f.Scale.Clients {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, w := range f.workloads() {
-		fmt.Fprintf(&b, "| %s |", w)
-		for _, c := range f.Scale.Clients {
-			fmt.Fprintf(&b, " %.0f |", f.Throughput(w, c))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+func (f *Figure) Markdown() string { return f.grid().markdown() }
 
-func (f *Figure) workloads() []string {
-	var names []string
-	seen := map[string]bool{}
-	for _, c := range f.Cells {
-		if !seen[c.Workload.Name] {
-			seen[c.Workload.Name] = true
-			names = append(names, c.Workload.Name)
-		}
-	}
-	return names
-}
-
-// ratioLines summarizes each TCP workload as a percentage of UDP — the
-// quantity the paper's abstract tracks (13–51% baseline → 50–78% fixed).
-func (f *Figure) ratioLines() string {
-	var b strings.Builder
-	for _, w := range f.workloads() {
-		if w == "UDP" {
-			continue
-		}
-		fmt.Fprintf(&b, "%-20s", w+" /UDP")
-		for _, c := range f.Scale.Clients {
-			udp := f.Throughput("UDP", c)
-			if udp <= 0 {
-				fmt.Fprintf(&b, "%14s", "-")
-				continue
-			}
-			fmt.Fprintf(&b, "%13.0f%%", 100*f.Throughput(w, c)/udp)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+func (f *Figure) grid() grid {
+	return table("workload", "%d clients", f.Scale.Clients, f.Cells, func(c *Cell) string { return c.tput() })
 }
 
 // TCPOfUDPRange returns the min and max TCP-as-%-of-UDP across all TCP
 // workloads and client counts — the abstract's headline numbers.
 func (f *Figure) TCPOfUDPRange() (lo, hi float64) {
 	lo, hi = 1e18, -1
-	for _, w := range f.workloads() {
+	for _, w := range rowNames(f.Cells) {
 		if w == "UDP" {
 			continue
 		}
@@ -359,12 +275,7 @@ func (f *Figure) TCPOfUDPRange() (lo, hi float64) {
 				continue
 			}
 			r := 100 * f.Throughput(w, c) / udp
-			if r < lo {
-				lo = r
-			}
-			if r > hi {
-				hi = r
-			}
+			lo, hi = min(lo, r), max(hi, r)
 		}
 	}
 	if hi < 0 {

@@ -47,35 +47,16 @@ func RunProfile(sc Scale, clients int, progress func(string)) (*ProfileReport, e
 	persistent := Workload{Name: "TCP persistent", Transport: transport.TCP, OpsPerConn: 0}
 	churn := Workload{Name: "TCP 50 ops/conn", Transport: transport.TCP, OpsPerConn: 50}
 
-	run := func(w Workload, fdcache bool, kind connmgr.Kind) (*Cell, error) {
-		cell, err := runCell(w, clients, sc, func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			cfg.FDCache = fdcache
-			cfg.ConnMgr = kind
-			return cfg
-		})
-		if err == nil && progress != nil {
-			progress(fmt.Sprintf("[profile] %-18s fdcache=%-5v connmgr=%-6s: %s", w.Name, fdcache, kind, cell.Result))
-		}
-		return cell, err
-	}
-
-	base, err := run(persistent, false, connmgr.KindScan)
+	cells, err := runVariants("profile", []variantRow{
+		{"persistent baseline", persistent, figureVariant(false, connmgr.KindScan)},
+		{"persistent fd-cache", persistent, figureVariant(true, connmgr.KindScan)},
+		{"50 ops/conn scan", churn, figureVariant(true, connmgr.KindScan)},
+		{"50 ops/conn pqueue", churn, figureVariant(true, connmgr.KindPQueue)},
+	}, sc, clients, progress)
 	if err != nil {
 		return nil, err
 	}
-	cached, err := run(persistent, true, connmgr.KindScan)
-	if err != nil {
-		return nil, err
-	}
-	scan, err := run(churn, true, connmgr.KindScan)
-	if err != nil {
-		return nil, err
-	}
-	pq, err := run(churn, true, connmgr.KindPQueue)
-	if err != nil {
-		return nil, err
-	}
+	base, cached, scan, pq := cells[0], cells[1], cells[2], cells[3]
 
 	rep := &ProfileReport{
 		IPCPercentBaseline: base.Snapshot.PercentOf(metrics.MetricIPCTime, busyOf(base.Snapshot)),
@@ -108,71 +89,50 @@ func (r *ProfileReport) String() string {
 // supervisor (no penalty) and the starved one (per-request penalty).
 func RunPriority(sc Scale, clients int, penalty time.Duration, progress func(string)) (boosted, starved float64, err error) {
 	w := Workload{Name: "TCP persistent", Transport: transport.TCP}
-	run := func(p time.Duration) (float64, error) {
-		cell, err := runCell(w, clients, sc, func(w Workload, sc Scale) core.Config {
+	supervisor := func(p time.Duration) Variant {
+		return func(w Workload, sc Scale) core.Config {
 			cfg := baseConfig(w, sc)
 			cfg.ConnMgr = connmgr.KindScan
 			cfg.SupervisorPenalty = p
 			return cfg
-		})
-		if err != nil {
-			return 0, err
 		}
-		if progress != nil {
-			progress(fmt.Sprintf("[priority] penalty=%-8v: %s", p, cell.Result))
-		}
-		return cell.Result.Throughput, nil
 	}
-	if boosted, err = run(0); err != nil {
+	cells, err := runVariants("priority", []variantRow{
+		{"boosted", w, supervisor(0)},
+		{fmt.Sprintf("starved (%v penalty)", penalty), w, supervisor(penalty)},
+	}, sc, clients, progress)
+	if err != nil {
 		return 0, 0, err
 	}
-	if starved, err = run(penalty); err != nil {
-		return 0, 0, err
-	}
-	return boosted, starved, nil
+	return cells[0].Result.Throughput, cells[1].Result.Throughput, nil
 }
 
 // RunArchitectures compares the §6 alternatives on one workload: the fixed
 // TCP architecture (fd cache + pqueue), the multi-threaded shared address
 // space, the SCTP-style message transport, and the UDP reference.
 func RunArchitectures(sc Scale, clients int, w Workload, progress func(string)) (map[string]float64, error) {
-	type entry struct {
-		name    string
-		variant Variant
-		wl      Workload
-	}
-	entries := []entry{
-		{"TCP fixed (fdcache+pq)", func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			cfg.FDCache = true
-			cfg.ConnMgr = connmgr.KindPQueue
-			return cfg
-		}, w},
-		{"Threaded (§6)", func(w Workload, sc Scale) core.Config {
+	udp := Workload{Name: "UDP", Transport: transport.UDP}
+	cells, err := runVariants("arch", []variantRow{
+		{"TCP fixed (fdcache+pq)", w, figureVariant(true, connmgr.KindPQueue)},
+		{"Threaded (§6)", w, func(w Workload, sc Scale) core.Config {
 			cfg := baseConfig(w, sc)
 			cfg.Arch = core.ArchThreaded
 			cfg.ConnMgr = connmgr.KindPQueue
 			return cfg
-		}, w},
-		{"SCTP-sim (§6)", func(w Workload, sc Scale) core.Config {
+		}},
+		{"SCTP-sim (§6)", Workload{Name: "SCTP-sim", Transport: transport.UDP}, func(w Workload, sc Scale) core.Config {
 			cfg := baseConfig(w, sc)
 			cfg.Arch = core.ArchSCTP
 			return cfg
-		}, Workload{Name: "SCTP-sim", Transport: transport.UDP}},
-		{"UDP", func(w Workload, sc Scale) core.Config {
-			return baseConfig(Workload{Transport: transport.UDP}, sc)
-		}, Workload{Name: "UDP", Transport: transport.UDP}},
+		}},
+		{"UDP", udp, baseConfig},
+	}, sc, clients, progress)
+	if err != nil {
+		return nil, err
 	}
-	out := make(map[string]float64, len(entries))
-	for _, e := range entries {
-		cell, err := runCell(e.wl, clients, sc, e.variant)
-		if err != nil {
-			return nil, fmt.Errorf("architectures (%s): %w", e.name, err)
-		}
-		out[e.name] = cell.Result.Throughput
-		if progress != nil {
-			progress(fmt.Sprintf("[arch] %-24s: %s", e.name, cell.Result))
-		}
+	out := make(map[string]float64, len(cells))
+	for _, c := range cells {
+		out[c.row] = c.Result.Throughput
 	}
 	return out, nil
 }
@@ -183,60 +143,37 @@ func RunArchitectures(sc Scale, clients int, w Workload, progress func(string)) 
 // redirect > proxy > proxy+auth, with authentication the most expensive
 // configuration because of its per-request database verification.
 func RunScenarios(sc Scale, clients int, progress func(string)) (map[string]float64, error) {
-	type entry struct {
-		name string
-		cfg  func(sc Scale) core.Config
-	}
-	base := func(sc Scale) core.Config {
-		return baseConfig(Workload{Name: "UDP", Transport: transport.UDP}, sc)
-	}
-	entries := []entry{
-		{"proxy", base},
-		{"proxy+auth", func(sc Scale) core.Config {
-			cfg := base(sc)
-			cfg.Auth = true
-			return cfg
-		}},
-		{"redirect", func(sc Scale) core.Config {
-			cfg := base(sc)
-			cfg.Redirect = true
-			return cfg
-		}},
-	}
-	out := make(map[string]float64, len(entries)+1)
-	w := Workload{Name: "UDP", Transport: transport.UDP}
-	for _, e := range entries {
-		cell, err := runCell(w, clients, sc, func(Workload, Scale) core.Config { return e.cfg(sc) })
-		if err != nil {
-			return nil, fmt.Errorf("scenarios (%s): %w", e.name, err)
-		}
-		out[e.name] = cell.Result.Throughput
-		if progress != nil {
-			progress(fmt.Sprintf("[scenario] %-12s: %s", e.name, cell.Result))
-		}
-	}
-	// Registration scenario: re-REGISTER loops (one op per REGISTER).
-	srv, err := core.New(base(sc))
-	if err != nil {
-		return nil, err
-	}
-	srv.DB().ProvisionN(2*clients, "bench.gosip")
-	res, err := loadgen.Run(loadgen.Config{
-		Scenario:        loadgen.ScenarioRegistrations,
+	calls := loadgen.Config{
 		Transport:       transport.UDP,
-		ProxyAddr:       srv.Addr(),
-		Domain:          "bench.gosip",
 		Pairs:           clients,
 		CallsPerCaller:  sc.CallsPerCaller,
 		ResponseTimeout: sc.ResponseTimeout,
-	})
-	srv.Close()
-	if err != nil {
-		return nil, fmt.Errorf("scenarios (registration): %w", err)
 	}
-	out["registration"] = res.Throughput
-	if progress != nil {
-		progress(fmt.Sprintf("[scenario] %-12s: %s", "registration", res))
+	// Registration: re-REGISTER loops (one op per REGISTER).
+	registrations := calls
+	registrations.Scenario = loadgen.ScenarioRegistrations
+	entries := []struct {
+		name string
+		role func(*core.Config)
+		load loadgen.Config
+	}{
+		{"proxy", func(*core.Config) {}, calls},
+		{"proxy+auth", func(cfg *core.Config) { cfg.Auth = true }, calls},
+		{"redirect", func(cfg *core.Config) { cfg.Redirect = true }, calls},
+		{"registration", func(*core.Config) {}, registrations},
+	}
+	out := make(map[string]float64, len(entries))
+	for _, e := range entries {
+		cfg := baseConfig(Workload{Name: "UDP", Transport: transport.UDP}, sc)
+		e.role(&cfg)
+		run, err := runServer(cfg, e.load)
+		if err != nil {
+			return nil, fmt.Errorf("scenarios (%s): %w", e.name, err)
+		}
+		out[e.name] = run.res.Throughput
+		if progress != nil {
+			progress(fmt.Sprintf("[scenario] %-12s: %s", e.name, run.res))
+		}
 	}
 	return out, nil
 }
@@ -248,7 +185,7 @@ func RunScenarios(sc Scale, clients int, progress func(string)) (map[string]floa
 func RunLoss(sc Scale, clients int, rates []float64, progress func(string)) (map[float64]loadgen.Result, error) {
 	out := make(map[float64]loadgen.Result, len(rates))
 	for _, rate := range rates {
-		srv, err := core.New(core.Config{
+		run, err := runServer(core.Config{
 			Arch:     core.ArchUDP,
 			Workers:  sc.Workers,
 			Stateful: true,
@@ -260,27 +197,19 @@ func RunLoss(sc Scale, clients int, rates []float64, progress func(string)) (map
 				Linger: 2 * time.Second,
 			},
 			TimerInterval: 20 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		srv.DB().ProvisionN(2*clients, "bench.gosip")
-		res, err := loadgen.Run(loadgen.Config{
+		}, loadgen.Config{
 			Transport:       transport.UDP,
-			ProxyAddr:       srv.Addr(),
-			Domain:          "bench.gosip",
 			Pairs:           clients,
 			CallsPerCaller:  sc.CallsPerCaller / 2,
 			ResponseTimeout: 400 * time.Millisecond,
 			MaxRetries:      10,
 		})
-		srv.Close()
 		if err != nil {
 			return nil, fmt.Errorf("loss %.0f%%: %w", 100*rate, err)
 		}
-		out[rate] = res
+		out[rate] = run.res
 		if progress != nil {
-			progress(fmt.Sprintf("[loss] %4.0f%% drop: %s", 100*rate, res))
+			progress(fmt.Sprintf("[loss] %4.0f%% drop: %s", 100*rate, run.res))
 		}
 	}
 	return out, nil

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -101,9 +99,9 @@ func (sc LocksScale) variants() []LocksVariant {
 // LocksCell is one (variant, pairs) measurement with the server-side lock
 // and timer accounting harvested after the run.
 type LocksCell struct {
+	Measured
 	Variant LocksVariant
 	Pairs   int
-	Result  loadgen.Result
 
 	// TimerLockWait / TxnLockWait are total contended wait (the TryLock
 	// fast path charges nothing), with the acquisition counts that waited.
@@ -139,79 +137,37 @@ type LocksReport struct {
 
 // Cell returns the measurement for (variant name, pairs), or nil.
 func (r *LocksReport) Cell(name string, pairs int) *LocksCell {
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Variant.Name == name && c.Pairs == pairs {
-			return c
-		}
-	}
-	return nil
+	return lookup(r.Cells, name, pairs)
 }
 
 // Gains compares, at the highest pair count, the wheel against the heap on
 // the UDP rows and on the threaded rows (ops/s ratios; 0 when a cell is
 // missing).
 func (r *LocksReport) Gains() (udpWheel, threadedWheel float64) {
-	if len(r.Scale.Pairs) == 0 {
-		return 0, 0
-	}
-	top := r.Scale.Pairs[len(r.Scale.Pairs)-1]
-	ratio := func(heapRow, wheelRow string) float64 {
-		heap, wheel := r.Cell(heapRow, top), r.Cell(wheelRow, top)
-		if heap == nil || wheel == nil || heap.Result.Throughput <= 0 {
-			return 0
-		}
-		return wheel.Result.Throughput / heap.Result.Throughput
-	}
-	return ratio("udp/heap/"+txnLabel(0), "udp/wheel/"+txnLabel(0)),
-		ratio("threaded/heap", "threaded/wheel")
+	at := top(r.Scale.Pairs)
+	return ratio(r.Cells, "udp/wheel/"+txnLabel(0), "udp/heap/"+txnLabel(0), at),
+		ratio(r.Cells, "threaded/wheel", "threaded/heap", at)
 }
 
-// RunLocks sweeps variant × offered load. Each cell runs on a fresh server
-// Reps times and the median-throughput run is kept, with repetitions
-// interleaved across cells so shared-host noise lands evenly.
+// RunLocks sweeps variant × offered load, Reps interleaved runs per cell on
+// fresh servers, keeping each cell's median-throughput run. A cell in which
+// any call fails is an error.
 func RunLocks(sc LocksScale, progress func(string)) (*LocksReport, error) {
-	rep := &LocksReport{Scale: sc}
-	reps := sc.Reps
-	if reps < 1 {
-		reps = 1
+	cells, err := sweep(sweepSpec[LocksVariant, LocksCell]{
+		tag: "locks", rows: sc.variants(), name: func(v LocksVariant) string { return v.Name },
+		loads: sc.Pairs, unit: "pairs", reps: sc.Reps,
+		run: func(v LocksVariant, pairs int) (LocksCell, error) { return runLocksCell(sc, v, pairs) },
+		note: func(c *LocksCell) string {
+			return fmt.Sprintf("peak %d pending, %v lockwait/op", c.PeakPending, c.LockWaitPerOp())
+		},
+	}, progress)
+	if err != nil {
+		return nil, err
 	}
-	type key struct {
-		name  string
-		pairs int
-	}
-	runs := map[key][]*LocksCell{}
-	for i := 0; i < reps; i++ {
-		for _, v := range sc.variants() {
-			for _, pairs := range sc.Pairs {
-				runtime.GC() // level the allocator debt left by the previous cell
-				cell, err := runLocksCell(sc, v, pairs)
-				if err != nil {
-					return nil, fmt.Errorf("locks (%s, %d pairs): %w", v.Name, pairs, err)
-				}
-				k := key{v.Name, pairs}
-				runs[k] = append(runs[k], cell)
-			}
-		}
-	}
-	for _, v := range sc.variants() {
-		for _, pairs := range sc.Pairs {
-			cells := runs[key{v.Name, pairs}]
-			sort.Slice(cells, func(i, j int) bool {
-				return cells[i].Result.Throughput < cells[j].Result.Throughput
-			})
-			cell := cells[len(cells)/2]
-			rep.Cells = append(rep.Cells, *cell)
-			if progress != nil {
-				progress(fmt.Sprintf("[locks] %-24s %3d pairs: %s (peak %d pending, %v lockwait/op)",
-					v.Name, pairs, cell.Result, cell.PeakPending, cell.LockWaitPerOp()))
-			}
-		}
-	}
-	return rep, nil
+	return &LocksReport{Scale: sc, Cells: cells}, nil
 }
 
-func runLocksCell(sc LocksScale, v LocksVariant, pairs int) (*LocksCell, error) {
+func runLocksCell(sc LocksScale, v LocksVariant, pairs int) (LocksCell, error) {
 	cfg := core.Config{
 		Arch:    v.Arch,
 		Workers: sc.Workers,
@@ -229,18 +185,28 @@ func runLocksCell(sc LocksScale, v LocksVariant, pairs int) (*LocksCell, error) 
 	}
 	cfg.Txn.Shards = v.TxnShards
 	cfg.Txn.Linger = sc.Linger
-	srv, err := core.New(cfg)
-	if err != nil {
-		return nil, err
+	c := LocksCell{Variant: v, Pairs: pairs}
+	run, err := runServer(cfg, loadgen.Config{
+		Transport:      v.Transport,
+		Pairs:          pairs,
+		CallsPerCaller: sc.CallsPerCaller,
+	}, c.pollTimers)
+	c.Result = run.res
+	t := run.snap.Timers
+	c.TimerLockWait, c.TimerLockWaits = t[metrics.MetricTimerLockWait].Total, t[metrics.MetricTimerLockWait].Count
+	c.TxnLockWait, c.TxnLockWaits = t[metrics.MetricTxnLockWait].Total, t[metrics.MetricTxnLockWait].Count
+	if err == nil && run.res.CallsFailed > 0 {
+		err = fmt.Errorf("%d calls failed", run.res.CallsFailed)
 	}
-	defer srv.Close()
-	srv.DB().ProvisionN(2*pairs, cfg.Domain)
+	return c, err
+}
 
-	// Poll the standing timer population while the load runs; the peaks
-	// are the depth at which the heap's O(log n) and corpse costs apply.
+// pollTimers polls the standing timer population while the load runs; the
+// peaks are the depth at which the heap's O(log n) and corpse costs apply.
+// Its stop records the scheduler's lifetime counts.
+func (c *LocksCell) pollTimers(srv core.Server) func() {
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	cell := &LocksCell{Variant: v, Pairs: pairs}
 	go func() {
 		defer close(done)
 		tick := time.NewTicker(20 * time.Millisecond)
@@ -248,109 +214,51 @@ func runLocksCell(sc LocksScale, v LocksVariant, pairs int) (*LocksCell, error) 
 		for {
 			select {
 			case <-tick.C:
-				if n := int64(srv.Timers().Len()); n > cell.PeakPending {
-					cell.PeakPending = n
-				}
-				if n := srv.Timers().CancelledResident(); n > cell.PeakCancelledResident {
-					cell.PeakCancelledResident = n
-				}
+				c.PeakPending = max(c.PeakPending, int64(srv.Timers().Len()))
+				c.PeakCancelledResident = max(c.PeakCancelledResident, srv.Timers().CancelledResident())
 			case <-stop:
 				return
 			}
 		}
 	}()
-
-	res, err := loadgen.Run(loadgen.Config{
-		Transport:      v.Transport,
-		ProxyAddr:      srv.Addr(),
-		Domain:         cfg.Domain,
-		Pairs:          pairs,
-		CallsPerCaller: sc.CallsPerCaller,
-	})
-	close(stop)
-	<-done
-	if err != nil {
-		return nil, err
+	return func() {
+		close(stop)
+		<-done
+		c.Scheduled, c.Fired = srv.Timers().Stats()
 	}
-
-	p := srv.Profile()
-	cell.Result = res
-	cell.TimerLockWait = p.Timer(metrics.MetricTimerLockWait).Total()
-	cell.TimerLockWaits = p.Timer(metrics.MetricTimerLockWait).Count()
-	cell.TxnLockWait = p.Timer(metrics.MetricTxnLockWait).Total()
-	cell.TxnLockWaits = p.Timer(metrics.MetricTxnLockWait).Count()
-	cell.Scheduled, cell.Fired = srv.Timers().Stats()
-	if res.CallsFailed > 0 {
-		return nil, fmt.Errorf("%d calls failed", res.CallsFailed)
-	}
-	return cell, nil
 }
 
 // Table renders throughput and lock accounting per variant and load point.
 func (r *LocksReport) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Lock and timer scaling sweep: ops/s and contended lock wait per operation\n\n")
-	fmt.Fprintf(&b, "%-26s", "variant")
-	for _, p := range r.Scale.Pairs {
-		fmt.Fprintf(&b, "%30s", fmt.Sprintf("%d pairs", p))
-	}
-	b.WriteByte('\n')
-	for _, v := range r.Scale.variants() {
-		fmt.Fprintf(&b, "%-26s", v.Name)
-		for _, p := range r.Scale.Pairs {
-			c := r.Cell(v.Name, p)
-			if c == nil {
-				fmt.Fprintf(&b, "%30s", "-")
-				continue
-			}
-			fmt.Fprintf(&b, "%30s", fmt.Sprintf("%.0f ops/s, %v wait/op",
-				c.Result.Throughput, c.LockWaitPerOp().Round(time.Nanosecond)))
-		}
-		b.WriteByte('\n')
-	}
-	top := r.Scale.Pairs[len(r.Scale.Pairs)-1]
-	fmt.Fprintf(&b, "\nstanding timer population at %d pairs (peak pending / peak cancelled-resident):\n", top)
-	for _, v := range r.Scale.variants() {
-		if c := r.Cell(v.Name, top); c != nil {
+	b.WriteString("Lock and timer scaling sweep: ops/s and contended lock wait per operation\n\n")
+	b.WriteString(table("variant", "%d pairs", r.Scale.Pairs, r.Cells, func(c *LocksCell) string {
+		return fmt.Sprintf("%s ops/s, %v wait/op", c.tput(), c.LockWaitPerOp().Round(time.Nanosecond))
+	}).text())
+	at := top(r.Scale.Pairs)
+	fmt.Fprintf(&b, "\nstanding timer population at %d pairs (peak pending / peak cancelled-resident):\n", at)
+	for _, name := range rowNames(r.Cells) {
+		if c := r.Cell(name, at); c != nil {
 			fmt.Fprintf(&b, "  %-24s %7d / %d (scheduled %d, fired %d)\n",
-				v.Name, c.PeakPending, c.PeakCancelledResident, c.Scheduled, c.Fired)
+				name, c.PeakPending, c.PeakCancelledResident, c.Scheduled, c.Fired)
 		}
 	}
 	if udp, threaded := r.Gains(); udp > 0 || threaded > 0 {
 		fmt.Fprintf(&b, "\nat %d pairs: wheel vs heap %.2fx ops/s (UDP), %.2fx ops/s (threaded)\n",
-			top, udp, threaded)
+			at, udp, threaded)
 	}
 	return b.String()
 }
 
 // Markdown renders the sweep as a GitHub table for EXPERIMENTS.md.
 func (r *LocksReport) Markdown() string {
-	var b strings.Builder
-	b.WriteString("\n| variant |")
-	for _, p := range r.Scale.Pairs {
-		fmt.Fprintf(&b, " %d pairs (ops/s) |", p)
-	}
-	top := r.Scale.Pairs[len(r.Scale.Pairs)-1]
-	fmt.Fprintf(&b, " lock wait/op @ %d | peak pending @ %d | peak corpses @ %d |\n|---|", top, top, top)
-	for range r.Scale.Pairs {
-		b.WriteString("---|")
-	}
-	b.WriteString("---|---|---|\n")
-	for _, v := range r.Scale.variants() {
-		fmt.Fprintf(&b, "| %s |", v.Name)
-		for _, p := range r.Scale.Pairs {
-			if c := r.Cell(v.Name, p); c != nil {
-				fmt.Fprintf(&b, " %.0f |", c.Result.Throughput)
-			} else {
-				b.WriteString(" - |")
-			}
-		}
-		if c := r.Cell(v.Name, top); c != nil {
-			fmt.Fprintf(&b, " %v | %d | %d |\n",
-				c.LockWaitPerOp().Round(time.Nanosecond), c.PeakPending, c.PeakCancelledResident)
-		} else {
-			b.WriteString(" - | - | - |\n")
-		}
-	}
-	return b.String()
+	at := top(r.Scale.Pairs)
+	return table("variant", "%d pairs (ops/s)", r.Scale.Pairs, r.Cells, func(c *LocksCell) string { return c.tput() },
+		column[LocksCell]{fmt.Sprintf("lock wait/op @ %d", at),
+			func(c *LocksCell) string { return c.LockWaitPerOp().Round(time.Nanosecond).String() }},
+		column[LocksCell]{fmt.Sprintf("peak pending @ %d", at),
+			func(c *LocksCell) string { return fmt.Sprint(c.PeakPending) }},
+		column[LocksCell]{fmt.Sprintf("peak corpses @ %d", at),
+			func(c *LocksCell) string { return fmt.Sprint(c.PeakCancelledResident) }},
+	).markdown()
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"gosip/internal/core"
 	"gosip/internal/loadgen"
 	"gosip/internal/metrics"
-	"gosip/internal/testutil"
 	"gosip/internal/trace"
 	"gosip/internal/transport"
 	"gosip/internal/userdb"
@@ -70,9 +68,9 @@ func DefaultOutlierScale() OutlierScale {
 // OutlierCell is one (transport, architecture) measurement with its
 // exemplar slow-call trace.
 type OutlierCell struct {
+	Measured
 	Transport transport.Kind
 	Arch      core.Architecture
-	Result    loadgen.Result
 	// Flight-recorder ledger for the run.
 	Retained   int64
 	Dropped    int64
@@ -109,12 +107,15 @@ type OutlierReport struct {
 	Cells []OutlierCell
 }
 
-// outlierCells are the (transport, architecture) combinations measured:
-// both transports, and for TCP both process models.
-var outlierCells = []struct {
+// outlierRow is one (transport, architecture) combination.
+type outlierRow struct {
 	kind transport.Kind
 	arch core.Architecture
-}{
+}
+
+// outlierCells are the combinations measured: both transports, and for TCP
+// both process models.
+var outlierCells = []outlierRow{
 	{transport.UDP, core.ArchUDP},
 	{transport.TCP, core.ArchTCP},
 	{transport.TCP, core.ArchThreaded},
@@ -123,30 +124,27 @@ var outlierCells = []struct {
 // RunOutliers runs each (transport, architecture) cell on a fresh server
 // with the flight recorder armed and picks an exemplar slow call per cell.
 func RunOutliers(sc OutlierScale, progress func(string)) (*OutlierReport, error) {
-	rep := &OutlierReport{Scale: sc}
-	for _, c := range outlierCells {
-		cell, err := runOutlierCell(sc, c.kind, c.arch)
-		if err != nil {
-			return nil, fmt.Errorf("outliers (%s/%s): %w", c.kind, c.arch, err)
-		}
-		rep.Cells = append(rep.Cells, *cell)
-		if progress != nil {
+	cells, err := sweep(sweepSpec[outlierRow, OutlierCell]{
+		tag: "outliers", rows: outlierCells,
+		name:  func(r outlierRow) string { return fmt.Sprintf("%s/%s", r.kind, r.arch) },
+		loads: []int{sc.Pairs}, unit: "pairs",
+		run: func(r outlierRow, pairs int) (OutlierCell, error) { return runOutlierCell(sc, r.kind, r.arch, pairs) },
+		note: func(c *OutlierCell) string {
 			ex := "no exemplar"
-			if cell.Exemplar != nil {
-				ex = fmt.Sprintf("exemplar %s e2e=%v accounted=%v",
-					cell.Exemplar.Reason(),
-					cell.Exemplar.E2E.Round(time.Microsecond),
-					cell.Exemplar.Coverage().Round(time.Microsecond))
+			if c.Exemplar != nil {
+				ex = fmt.Sprintf("exemplar %s e2e=%v accounted=%v", c.Exemplar.Reason(),
+					c.Exemplar.E2E.Round(time.Microsecond), c.Exemplar.Coverage().Round(time.Microsecond))
 			}
-			progress(fmt.Sprintf("[outliers] %-3s %-8s: %s | retained=%d (%d slow) dropped=%d | %s",
-				c.kind, c.arch, cell.Result, cell.Retained, cell.SlowRetained, cell.Dropped, ex))
-		}
+			return fmt.Sprintf("retained=%d (%d slow) dropped=%d | %s", c.Retained, c.SlowRetained, c.Dropped, ex)
+		},
+	}, progress)
+	if err != nil {
+		return nil, err
 	}
-	return rep, nil
+	return &OutlierReport{Scale: sc, Cells: cells}, nil
 }
 
-func runOutlierCell(sc OutlierScale, kind transport.Kind, arch core.Architecture) (*OutlierCell, error) {
-	goroBefore := runtime.NumGoroutine()
+func runOutlierCell(sc OutlierScale, kind transport.Kind, arch core.Architecture, pairs int) (OutlierCell, error) {
 	cfg := core.Config{
 		Arch:     arch,
 		Workers:  sc.Workers,
@@ -157,52 +155,31 @@ func runOutlierCell(sc OutlierScale, kind transport.Kind, arch core.Architecture
 		DB:       userdb.Config{LookupLatency: sc.LookupLatency, PoolSize: sc.DBPool},
 		Trace:    trace.Config{Sample: sc.Sample, Slow: sc.SlowThreshold, Ring: sc.Ring},
 	}
-	srv, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	closed := false
-	defer func() {
-		if !closed {
-			srv.Close()
-		}
-	}()
-	srv.DB().ProvisionN(2*sc.Pairs, cfg.Domain)
-
-	res, err := loadgen.Run(loadgen.Config{
+	run, err := runServer(cfg, loadgen.Config{
 		Transport:       kind,
-		ProxyAddr:       srv.Addr(),
-		Domain:          cfg.Domain,
-		Pairs:           sc.Pairs,
+		Pairs:           pairs,
 		CallsPerCaller:  sc.CallsPerCaller,
 		ResponseTimeout: sc.ResponseTimeout,
 		MaxRetries:      sc.MaxRetries,
 		// Setup registers against the capacity-pinned DB; trickle it.
 		RegisterConcurrency: 4,
 	})
-	if err != nil {
-		return nil, err
+	n := run.snap.Counters
+	c := OutlierCell{
+		Measured:       Measured{Result: run.res},
+		Transport:      kind,
+		Arch:           arch,
+		Retained:       n[metrics.MetricTraceRetained],
+		Dropped:        n[metrics.MetricTraceDropped],
+		Truncated:      n[metrics.MetricTraceTruncated],
+		SampledOut:     n[metrics.MetricTraceSampledOut],
+		HandlesLeaked:  run.handlesLeaked,
+		GoroutineDelta: run.goroutines,
 	}
-
-	cell := &OutlierCell{
-		Transport:  kind,
-		Arch:       arch,
-		Result:     res,
-		Retained:   srv.Profile().Counter(metrics.MetricTraceRetained).Value(),
-		Dropped:    srv.Profile().Counter(metrics.MetricTraceDropped).Value(),
-		Truncated:  srv.Profile().Counter(metrics.MetricTraceTruncated).Value(),
-		SampledOut: srv.Profile().Counter(metrics.MetricTraceSampledOut).Value(),
+	if run.srv != nil {
+		c.Exemplar, c.SlowRetained = pickExemplar(run.srv.Tracer().Snapshot())
 	}
-	cell.Exemplar, cell.SlowRetained = pickExemplar(srv.Tracer().Snapshot())
-
-	if err := srv.Close(); err != nil {
-		return nil, err
-	}
-	closed = true
-	issued, hClosed := testutil.HandleLedger(srv.Profile())
-	cell.HandlesLeaked = issued - hClosed
-	cell.GoroutineDelta = testutil.SettleGoroutines(goroBefore)
-	return cell, nil
+	return c, err
 }
 
 // pickExemplar returns the slowest retained slow-call trace whose timeline

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"gosip/internal/loadgen"
 	"gosip/internal/metrics"
 	"gosip/internal/overload"
-	"gosip/internal/testutil"
 	"gosip/internal/transport"
 	"gosip/internal/userdb"
 )
@@ -76,10 +74,10 @@ func DefaultOverloadScale() OverloadScale {
 
 // OverloadCell is one (policy, transport, pairs) measurement.
 type OverloadCell struct {
+	Measured
 	Policy    overload.Policy
 	Transport transport.Kind
 	Pairs     int
-	Result    loadgen.Result
 	// Server-side admission counters.
 	Offered  int64
 	Admitted int64
@@ -87,15 +85,11 @@ type OverloadCell struct {
 	Pauses   int64
 	// Bugfix-sweep health: IPC deadline hits, the fd-handle ledger, and the
 	// goroutine delta across the server's lifetime (all should read as
-	// "nothing leaked").
+	// "nothing leaked"; a leak fails the cell).
 	IPCTimeouts    int64
 	HandlesLeaked  int64
 	GoroutineDelta int
 }
-
-// Goodput is completed-transaction throughput — loadgen already excludes
-// rejected and failed calls from Ops.
-func (c OverloadCell) Goodput() float64 { return c.Result.Throughput }
 
 // OverloadReport is the finished sweep.
 type OverloadReport struct {
@@ -103,74 +97,74 @@ type OverloadReport struct {
 	Cells []OverloadCell
 }
 
-// Cell returns the measurement for (policy, transport, pairs), or nil.
-func (r *OverloadReport) Cell(p overload.Policy, tr transport.Kind, pairs int) *OverloadCell {
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Policy == p && c.Transport == tr && c.Pairs == pairs {
-			return c
+// overloadTransports and overloadPolicies are the sweep's tables and rows.
+var (
+	overloadTransports = []transport.Kind{transport.UDP, transport.TCP}
+	overloadPolicies   = []overload.Policy{
+		overload.PolicyNone, overload.PolicyThreshold, overload.PolicyOccupancy,
+	}
+)
+
+// of returns the cells measured over one transport (RunOverload sweeps the
+// transports one after the other).
+func (r *OverloadReport) of(tr transport.Kind) []OverloadCell {
+	n := len(r.Cells) / len(overloadTransports)
+	for i, k := range overloadTransports {
+		if k == tr {
+			return r.Cells[i*n : (i+1)*n]
 		}
 	}
 	return nil
 }
 
+// Cell returns the measurement for (policy, transport, pairs), or nil.
+func (r *OverloadReport) Cell(p overload.Policy, tr transport.Kind, pairs int) *OverloadCell {
+	return lookup(r.of(tr), string(p), pairs)
+}
+
 // ControlGain returns the best controlled-goodput : no-control-goodput ratio
 // at the highest offered load, and the transport it was achieved on.
 func (r *OverloadReport) ControlGain() (gain float64, tr transport.Kind) {
-	if len(r.Scale.Pairs) == 0 {
-		return 0, ""
-	}
-	top := r.Scale.Pairs[len(r.Scale.Pairs)-1]
-	for _, kind := range []transport.Kind{transport.UDP, transport.TCP} {
-		base := r.Cell(overload.PolicyNone, kind, top)
-		if base == nil || base.Goodput() <= 0 {
-			continue
-		}
-		for _, p := range []overload.Policy{overload.PolicyThreshold, overload.PolicyOccupancy} {
-			if c := r.Cell(p, kind, top); c != nil {
-				if g := c.Goodput() / base.Goodput(); g > gain {
-					gain, tr = g, kind
-				}
+	for _, kind := range overloadTransports {
+		for _, p := range overloadPolicies[1:] {
+			if g := ratio(r.of(kind), string(p), string(overload.PolicyNone), top(r.Scale.Pairs)); g > gain {
+				gain, tr = g, kind
 			}
 		}
 	}
 	return gain, tr
 }
 
-// overloadPolicies are the sweep's rows.
-var overloadPolicies = []overload.Policy{
-	overload.PolicyNone, overload.PolicyThreshold, overload.PolicyOccupancy,
-}
-
-// RunOverload sweeps policy × transport × offered load, each cell on a fresh
-// server, and verifies per cell that nothing leaked.
+// RunOverload sweeps policy × offered load on each transport, each cell on
+// a fresh server whose leak audit must pass.
 func RunOverload(sc OverloadScale, progress func(string)) (*OverloadReport, error) {
 	rep := &OverloadReport{Scale: sc}
-	for _, kind := range []transport.Kind{transport.UDP, transport.TCP} {
-		for _, policy := range overloadPolicies {
-			for _, pairs := range sc.Pairs {
-				cell, err := runOverloadCell(sc, policy, kind, pairs)
-				if err != nil {
-					return nil, fmt.Errorf("overload (%s/%s, %d pairs): %w", policy, kind, pairs, err)
-				}
-				rep.Cells = append(rep.Cells, *cell)
-				if progress != nil {
-					progress(fmt.Sprintf("[overload] %-9s %-3s %3d pairs: %s (%d shed, %d pauses, leak fd=%d goro=%d)",
-						policy, kind, pairs, cell.Result,
-						cell.Rejected, cell.Pauses, cell.HandlesLeaked, cell.GoroutineDelta))
-				}
-			}
+	for _, kind := range overloadTransports {
+		cells, err := sweep(sweepSpec[overload.Policy, OverloadCell]{
+			tag: "overload " + string(kind), rows: overloadPolicies,
+			name:  func(p overload.Policy) string { return string(p) },
+			loads: sc.Pairs, unit: "pairs",
+			run: func(p overload.Policy, pairs int) (OverloadCell, error) {
+				return runOverloadCell(sc, p, kind, pairs)
+			},
+			note: func(c *OverloadCell) string {
+				return fmt.Sprintf("%d shed, %d pauses, leak fd=%d goro=%d",
+					c.Rejected, c.Pauses, c.HandlesLeaked, c.GoroutineDelta)
+			},
+		}, progress)
+		if err != nil {
+			return nil, err
 		}
+		rep.Cells = append(rep.Cells, cells...)
 	}
 	return rep, nil
 }
 
-func runOverloadCell(sc OverloadScale, policy overload.Policy, kind transport.Kind, pairs int) (*OverloadCell, error) {
+func runOverloadCell(sc OverloadScale, policy overload.Policy, kind transport.Kind, pairs int) (OverloadCell, error) {
 	arch := core.ArchUDP
 	if kind == transport.TCP {
 		arch = core.ArchTCP
 	}
-	goroBefore := runtime.NumGoroutine()
 	cfg := core.Config{
 		Arch:     arch,
 		Workers:  sc.Workers,
@@ -186,22 +180,8 @@ func runOverloadCell(sc OverloadScale, policy overload.Policy, kind transport.Ki
 			PauseReads: kind == transport.TCP,
 		},
 	}
-	srv, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	closed := false
-	defer func() {
-		if !closed {
-			srv.Close()
-		}
-	}()
-	srv.DB().ProvisionN(2*pairs, cfg.Domain)
-
-	res, err := loadgen.Run(loadgen.Config{
+	run, err := runServer(cfg, loadgen.Config{
 		Transport:       kind,
-		ProxyAddr:       srv.Addr(),
-		Domain:          cfg.Domain,
 		Pairs:           pairs,
 		CallsPerCaller:  sc.CallsPerCaller,
 		ResponseTimeout: sc.ResponseTimeout,
@@ -213,60 +193,36 @@ func runOverloadCell(sc OverloadScale, policy overload.Policy, kind transport.Ki
 		// measured one does.
 		RegisterConcurrency: 4,
 	})
-	if err != nil {
-		return nil, err
+	n := run.snap.Counters
+	c := OverloadCell{
+		Measured:       Measured{Result: run.res},
+		Policy:         policy,
+		Transport:      kind,
+		Pairs:          pairs,
+		Offered:        n[metrics.MetricOverloadOffered],
+		Admitted:       n[metrics.MetricOverloadAdmitted],
+		Rejected:       n[metrics.MetricOverloadRejected],
+		Pauses:         n[metrics.MetricOverloadPauses],
+		IPCTimeouts:    n[metrics.MetricIPCTimeouts],
+		HandlesLeaked:  run.handlesLeaked,
+		GoroutineDelta: run.goroutines,
 	}
-
-	cell := &OverloadCell{
-		Policy:    policy,
-		Transport: kind,
-		Pairs:     pairs,
-		Result:    res,
-		Offered:   srv.Profile().Counter(metrics.MetricOverloadOffered).Value(),
-		Admitted:  srv.Profile().Counter(metrics.MetricOverloadAdmitted).Value(),
-		Rejected:  srv.Profile().Counter(metrics.MetricOverloadRejected).Value(),
-		Pauses:    srv.Profile().Counter(metrics.MetricOverloadPauses).Value(),
-	}
-
-	// Close, then audit: the fd-handle ledger must balance and the server's
-	// goroutines must be gone. A positive delta here is a leak report.
-	if err := srv.Close(); err != nil {
-		return nil, err
-	}
-	closed = true
-	cell.IPCTimeouts = srv.Profile().Counter(metrics.MetricIPCTimeouts).Value()
-	issued, hClosed := testutil.HandleLedger(srv.Profile())
-	cell.HandlesLeaked = issued - hClosed
-	cell.GoroutineDelta = testutil.SettleGoroutines(goroBefore)
-	return cell, nil
+	return c, err
 }
 
 // Table renders goodput versus offered load per transport, policies as rows.
 func (r *OverloadReport) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Overload sweep: goodput (completed ops/s) vs offered load\n")
-	for _, kind := range []transport.Kind{transport.UDP, transport.TCP} {
-		fmt.Fprintf(&b, "\n%s:\n%-12s", kind, "policy")
-		for _, p := range r.Scale.Pairs {
-			fmt.Fprintf(&b, "%22s", fmt.Sprintf("%d pairs", p))
-		}
-		b.WriteByte('\n')
-		for _, policy := range overloadPolicies {
-			fmt.Fprintf(&b, "%-12s", policy)
-			for _, p := range r.Scale.Pairs {
-				c := r.Cell(policy, kind, p)
-				if c == nil {
-					fmt.Fprintf(&b, "%22s", "-")
-					continue
-				}
-				fmt.Fprintf(&b, "%22s", fmt.Sprintf("%.0f ops/s (%d shed)", c.Goodput(), c.Rejected))
-			}
-			b.WriteByte('\n')
-		}
+	b.WriteString("Overload sweep: goodput (completed ops/s) vs offered load\n")
+	for _, kind := range overloadTransports {
+		fmt.Fprintf(&b, "\n%s:\n", kind)
+		b.WriteString(table("policy", "%d pairs", r.Scale.Pairs, r.of(kind), func(c *OverloadCell) string {
+			return fmt.Sprintf("%s ops/s (%d shed)", c.tput(), c.Rejected)
+		}).text())
 	}
 	if gain, kind := r.ControlGain(); gain > 0 {
 		fmt.Fprintf(&b, "\nbest control gain at %d pairs: %.1fx no-control goodput (%s)\n",
-			r.Scale.Pairs[len(r.Scale.Pairs)-1], gain, kind)
+			top(r.Scale.Pairs), gain, kind)
 	}
 	return b.String()
 }
@@ -274,32 +230,12 @@ func (r *OverloadReport) Table() string {
 // Markdown renders the sweep as GitHub tables for EXPERIMENTS.md.
 func (r *OverloadReport) Markdown() string {
 	var b strings.Builder
-	for _, kind := range []transport.Kind{transport.UDP, transport.TCP} {
-		fmt.Fprintf(&b, "\n**%s**\n\n| policy |", kind)
-		for _, p := range r.Scale.Pairs {
-			fmt.Fprintf(&b, " %d pairs |", p)
-		}
-		b.WriteString(" shed @ max | pauses @ max |\n|---|")
-		for range r.Scale.Pairs {
-			b.WriteString("---|")
-		}
-		b.WriteString("---|---|\n")
-		top := r.Scale.Pairs[len(r.Scale.Pairs)-1]
-		for _, policy := range overloadPolicies {
-			fmt.Fprintf(&b, "| %s |", policy)
-			for _, p := range r.Scale.Pairs {
-				if c := r.Cell(policy, kind, p); c != nil {
-					fmt.Fprintf(&b, " %.0f |", c.Goodput())
-				} else {
-					b.WriteString(" - |")
-				}
-			}
-			if c := r.Cell(policy, kind, top); c != nil {
-				fmt.Fprintf(&b, " %d | %d |\n", c.Rejected, c.Pauses)
-			} else {
-				b.WriteString(" - | - |\n")
-			}
-		}
+	for _, kind := range overloadTransports {
+		fmt.Fprintf(&b, "**%s**\n\n", kind)
+		b.WriteString(table("policy", "%d pairs", r.Scale.Pairs, r.of(kind), func(c *OverloadCell) string { return c.tput() },
+			column[OverloadCell]{"shed @ max", func(c *OverloadCell) string { return fmt.Sprint(c.Rejected) }},
+			column[OverloadCell]{"pauses @ max", func(c *OverloadCell) string { return fmt.Sprint(c.Pauses) }},
+		).markdown() + "\n")
 	}
 	return b.String()
 }

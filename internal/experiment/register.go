@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -119,9 +118,9 @@ func registerVariants() []RegisterVariant {
 
 // RegisterCell is one (variant, phones) measurement.
 type RegisterCell struct {
+	Measured
 	Variant string
 	Phones  int
-	Result  loadgen.Result
 
 	// Prefill accounting: resident store cost measured across the synthetic
 	// pre-fill (nodes, per-shard wheel links, AOR index, and the store-owned
@@ -152,10 +151,6 @@ type RegisterCell struct {
 	HeapPeak uint64
 }
 
-// BindingsPerSec is sustained REGISTER goodput — loadgen's registration
-// scenario counts one op per completed REGISTER transaction.
-func (c RegisterCell) BindingsPerSec() float64 { return c.Result.Throughput }
-
 // RegisterReport is the finished sweep.
 type RegisterReport struct {
 	Scale RegisterScale
@@ -164,40 +159,21 @@ type RegisterReport struct {
 
 // Cell returns the measurement for (variant, phones), or nil.
 func (r *RegisterReport) Cell(variant string, phones int) *RegisterCell {
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Variant == variant && c.Phones == phones {
-			return c
-		}
-	}
-	return nil
+	return lookup(r.Cells, variant, phones)
 }
 
 // CacheGain returns the cached : uncached goodput ratio at the largest
 // avalanche, for the uncontrolled rows (the cache's headline effect).
 func (r *RegisterReport) CacheGain() float64 {
-	if len(r.Scale.Phones) == 0 {
-		return 0
-	}
-	top := r.Scale.Phones[len(r.Scale.Phones)-1]
-	base := r.Cell("auth", top)
-	cached := r.Cell("auth+cache", top)
-	if base == nil || cached == nil || base.BindingsPerSec() <= 0 {
-		return 0
-	}
-	return cached.BindingsPerSec() / base.BindingsPerSec()
+	return ratio(r.Cells, "auth+cache", "auth", top(r.Scale.Phones))
 }
 
-// RunRegister sweeps variant × avalanche size. Reps are interleaved across
-// cells (like RunLocks) so drift hits all cells evenly; each cell keeps its
-// median-throughput rep.
+// RunRegister sweeps variant × avalanche size, Reps interleaved runs per
+// cell on fresh servers, keeping each cell's median-goodput run. A cell
+// whose counters contradict its row is an error: uncached rows must see no
+// auth-cache traffic and cached rows both hits and misses, and rows without
+// admission control must shed nothing.
 func RunRegister(sc RegisterScale, progress func(string)) (*RegisterReport, error) {
-	if sc.Reps <= 0 {
-		sc.Reps = 1
-	}
-	rep := &RegisterReport{Scale: sc}
-	variants := registerVariants()
-
 	// The synthetic user names are shared by every cell (they are input to
 	// the store, not part of its measured footprint) and built once — at the
 	// default scale this is a million strings.
@@ -205,56 +181,25 @@ func RunRegister(sc RegisterScale, progress func(string)) (*RegisterReport, erro
 	for i := range users {
 		users[i] = fmt.Sprintf("pf%d", i)
 	}
-
-	type cellKey struct {
-		variant string
-		phones  int
+	cells, err := sweep(sweepSpec[RegisterVariant, RegisterCell]{
+		tag: "register", rows: registerVariants(), name: func(v RegisterVariant) string { return v.Name },
+		loads: sc.Phones, unit: "phones", reps: sc.Reps,
+		run: func(v RegisterVariant, phones int) (RegisterCell, error) {
+			return runRegisterCell(sc, v, phones, users)
+		},
+		note: func(c *RegisterCell) string {
+			return fmt.Sprintf("%d shed; lookup p99=%v over %d probes; cache %d/%d hit/miss; %.0f B/binding",
+				c.Shed, c.LookupP99.Round(time.Microsecond), c.Lookups,
+				c.CacheHits, c.CacheMisses, c.BytesPerBinding)
+		},
+	}, progress)
+	if err != nil {
+		return nil, err
 	}
-	runs := make(map[cellKey][]RegisterCell)
-	for r := 0; r < sc.Reps; r++ {
-		for _, v := range variants {
-			for _, phones := range sc.Phones {
-				runtime.GC()
-				cell, err := runRegisterCell(sc, v, phones, users)
-				if err != nil {
-					return nil, fmt.Errorf("register (%s, %d phones): %w", v.Name, phones, err)
-				}
-				k := cellKey{v.Name, phones}
-				runs[k] = append(runs[k], *cell)
-				if progress != nil {
-					progress(fmt.Sprintf("[register] rep %d/%d %-15s %4d phones: %7.0f reg/s  (%d shed; lookup p99=%v over %d probes; cache %d/%d hit/miss; %.0f B/binding)",
-						r+1, sc.Reps, v.Name, phones, cell.BindingsPerSec(),
-						cell.Shed, cell.LookupP99.Round(time.Microsecond), cell.Lookups,
-						cell.CacheHits, cell.CacheMisses, cell.BytesPerBinding))
-				}
-			}
-		}
-	}
-	for _, v := range variants {
-		for _, phones := range sc.Phones {
-			rs := runs[cellKey{v.Name, phones}]
-			rep.Cells = append(rep.Cells, medianRegisterCell(rs))
-		}
-	}
-	return rep, nil
+	return &RegisterReport{Scale: sc, Cells: cells}, nil
 }
 
-// medianRegisterCell picks the run with median goodput.
-func medianRegisterCell(rs []RegisterCell) RegisterCell {
-	best := rs[0]
-	if len(rs) > 1 {
-		sorted := append([]RegisterCell(nil), rs...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && sorted[j].Result.Throughput < sorted[j-1].Result.Throughput; j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
-		}
-		best = sorted[len(sorted)/2]
-	}
-	return best
-}
-
-func runRegisterCell(sc RegisterScale, v RegisterVariant, phones int, users []string) (*RegisterCell, error) {
+func runRegisterCell(sc RegisterScale, v RegisterVariant, phones int, users []string) (RegisterCell, error) {
 	cfg := core.Config{
 		Arch:     core.ArchUDP,
 		Workers:  sc.Workers,
@@ -274,77 +219,12 @@ func runRegisterCell(sc RegisterScale, v RegisterVariant, phones int, users []st
 	if v.Cache {
 		cfg.DB.Cache = userdb.CacheConfig{Entries: sc.CacheEntries, TTL: sc.CacheTTL}
 	}
-	srv, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	srv.DB().ProvisionN(2*phones, cfg.Domain)
-
-	cell := &RegisterCell{Variant: v.Name, Phones: phones, Prefill: sc.Prefill}
-
-	// --- Synthetic pre-fill: the resident population the avalanche churns
-	// on top of. Contact/user strings exist before the baseline snapshot, so
-	// the measured delta is the store's own marginal cost per binding (node,
-	// wheel links, AOR index slot, store-owned key string). ---
-	loc := srv.Location()
-	now := time.Now()
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range users {
-		loc.RegisterContact(
-			sipmsg.URI{User: users[i], Host: cfg.Domain},
-			location.Binding{
-				Contact:   sipmsg.URI{User: users[i], Host: "192.0.2.10", Port: 5060},
-				Transport: "UDP",
-				Source:    "192.0.2.10:5060",
-			}, time.Hour, now)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if sc.Prefill > 0 && after.HeapAlloc > before.HeapAlloc {
-		cell.BytesPerBinding = float64(after.HeapAlloc-before.HeapAlloc) / float64(sc.Prefill)
-	}
-
-	// --- Lookup probers: routing-side reads racing the registration storm.
-	// Probes come in short bursts with a sleep between them: the probers are
-	// latency instruments, not load, and spinning them flat-out would starve
-	// the server they are measuring on small hosts. ---
-	lookupHist := new(metrics.Histogram)
-	stopProbe := make(chan struct{})
-	var probeWG sync.WaitGroup
-	if sc.Prefill > 0 {
-		for p := 0; p < sc.LookupProbers; p++ {
-			probeWG.Add(1)
-			go func(i int) {
-				defer probeWG.Done()
-				for {
-					select {
-					case <-stopProbe:
-						return
-					default:
-					}
-					for k := 0; k < 8; k++ {
-						u := sipmsg.URI{User: users[i%len(users)], Host: cfg.Domain}
-						t0 := time.Now()
-						loc.LookupOne(u, t0)
-						lookupHist.Record(time.Since(t0))
-						i += 7919 // coprime stride: spread probes across shards
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
-			}(p * 104729)
-		}
-	}
-
-	sampler := metrics.StartSampler(srv.Profile(), 50*time.Millisecond)
-
-	res, err := loadgen.Run(loadgen.Config{
+	c := RegisterCell{Variant: v.Name, Phones: phones, Prefill: sc.Prefill}
+	lookups := new(metrics.Histogram)
+	var series metrics.Series
+	run, err := runServer(cfg, loadgen.Config{
 		Scenario:        loadgen.ScenarioRegistrations,
 		Transport:       transport.UDP,
-		ProxyAddr:       srv.Addr(),
-		Domain:          cfg.Domain,
 		Pairs:           phones,
 		CallsPerCaller:  sc.RegistersPerPhone,
 		ResponseTimeout: sc.ResponseTimeout,
@@ -354,109 +234,124 @@ func runRegisterCell(sc RegisterScale, v RegisterVariant, phones int, users []st
 		// Setup registers against the same capacity-pinned database; trickle
 		// it so the unmeasured phase doesn't trip the controller first.
 		RegisterConcurrency: 8,
-	})
-
-	close(stopProbe)
-	probeWG.Wait()
-	series := sampler.Stop()
-	if err != nil {
-		return nil, err
-	}
-
-	cell.Result = res
-	snap := lookupHist.Snapshot()
-	cell.Lookups = snap.Count
-	cell.LookupP50 = snap.Quantile(0.50)
-	cell.LookupP99 = snap.Quantile(0.99)
-	cell.LookupMax = snap.Max
-	prof := srv.Profile()
-	cell.Registered = prof.Counter(metrics.MetricLocRegistered).Value()
-	cell.Refreshed = prof.Counter(metrics.MetricLocRefreshed).Value()
-	cell.Deregistered = prof.Counter(metrics.MetricLocDeregistered).Value()
-	cell.CacheHits = prof.Counter(metrics.MetricAuthCacheHits).Value()
-	cell.CacheMisses = prof.Counter(metrics.MetricAuthCacheMisses).Value()
-	cell.CacheEvictions = prof.Counter(metrics.MetricAuthCacheEvictions).Value()
-	cell.Shed = prof.Counter(metrics.MetricOverloadRejected).Value()
-	cell.LocLockWait = prof.Timer(metrics.MetricLocLockWait).Total()
+	}, c.prefill(users, sc.LookupProbers, lookups), sampled(50*time.Millisecond, &series))
+	c.Result = run.res
+	snap := lookups.Snapshot()
+	c.Lookups = snap.Count
+	c.LookupP50 = snap.Quantile(0.50)
+	c.LookupP99 = snap.Quantile(0.99)
+	c.LookupMax = snap.Max
+	n := run.snap.Counters
+	c.Registered = n[metrics.MetricLocRegistered]
+	c.Refreshed = n[metrics.MetricLocRefreshed]
+	c.Deregistered = n[metrics.MetricLocDeregistered]
+	c.CacheHits = n[metrics.MetricAuthCacheHits]
+	c.CacheMisses = n[metrics.MetricAuthCacheMisses]
+	c.CacheEvictions = n[metrics.MetricAuthCacheEvictions]
+	c.Shed = n[metrics.MetricOverloadRejected]
+	c.LocLockWait = run.snap.Timers[metrics.MetricLocLockWait].Total
 	for _, s := range series.Samples {
-		if s.HeapAlloc > cell.HeapPeak {
-			cell.HeapPeak = s.HeapAlloc
+		c.HeapPeak = max(c.HeapPeak, s.HeapAlloc)
+	}
+	if err != nil {
+		return c, err
+	}
+	if v.Cache && (c.CacheHits == 0 || c.CacheMisses == 0) || !v.Cache && c.CacheHits+c.CacheMisses != 0 {
+		return c, fmt.Errorf("auth-cache counters %d/%d hit/miss contradict cache=%v", c.CacheHits, c.CacheMisses, v.Cache)
+	}
+	if (v.Policy == "" || v.Policy == overload.PolicyNone) && c.Shed != 0 {
+		return c, fmt.Errorf("%d REGISTERs shed without admission control", c.Shed)
+	}
+	return c, nil
+}
+
+// prefill is the register cell's hook. It fills the location store with the
+// synthetic population the avalanche churns on top of, measuring the
+// store's marginal heap cost per binding, then starts the lookup probers
+// that race the registration storm; its stop halts them.
+func (c *RegisterCell) prefill(users []string, probers int, hist *metrics.Histogram) hook {
+	return func(srv core.Server) func() {
+		// The contact/user strings exist before the baseline snapshot, so
+		// the measured delta is the store's own marginal cost per binding
+		// (node, wheel links, AOR index slot, store-owned key string).
+		loc := srv.Location()
+		now := time.Now()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, u := range users {
+			loc.RegisterContact(
+				sipmsg.URI{User: u, Host: "bench.gosip"},
+				location.Binding{
+					Contact:   sipmsg.URI{User: u, Host: "192.0.2.10", Port: 5060},
+					Transport: "UDP",
+					Source:    "192.0.2.10:5060",
+				}, time.Hour, now)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if len(users) > 0 && after.HeapAlloc > before.HeapAlloc {
+			c.BytesPerBinding = float64(after.HeapAlloc-before.HeapAlloc) / float64(len(users))
+		}
+
+		// Probes come in short bursts with a sleep between them: the probers
+		// are latency instruments, not load, and spinning them flat-out
+		// would starve the server they are measuring on small hosts.
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for p := 0; p < probers && len(users) > 0; p++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for k := 0; k < 8; k++ {
+						u := sipmsg.URI{User: users[i%len(users)], Host: "bench.gosip"}
+						t0 := time.Now()
+						loc.LookupOne(u, t0)
+						hist.Record(time.Since(t0))
+						i += 7919 // coprime stride: spread probes across shards
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+			}(p * 104729)
+		}
+		return func() {
+			close(stop)
+			wg.Wait()
 		}
 	}
-	return cell, nil
 }
 
 // Table renders goodput versus avalanche size, variants as rows, plus the
 // store-cost and lookup-latency columns at the largest avalanche.
 func (r *RegisterReport) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Registration avalanche: sustained REGISTER goodput (reg/s) vs avalanche size\n")
-	fmt.Fprintf(&b, "(location store pre-filled with %d bindings; DB %v x%d pool)\n\n",
-		r.Scale.Prefill, r.Scale.DBLatency, r.Scale.DBPool)
-	fmt.Fprintf(&b, "%-17s", "variant")
-	for _, p := range r.Scale.Phones {
-		fmt.Fprintf(&b, "%24s", fmt.Sprintf("%d phones", p))
+	g := table("variant", "%d phones", r.Scale.Phones, r.Cells,
+		func(c *RegisterCell) string { return fmt.Sprintf("%s reg/s (%d shed)", c.tput(), c.Shed) },
+		column[RegisterCell]{"lookup p50/p99", func(c *RegisterCell) string {
+			return fmt.Sprintf("%v/%v", c.LookupP50.Round(time.Microsecond), c.LookupP99.Round(time.Microsecond))
+		}},
+		column[RegisterCell]{"B/binding", func(c *RegisterCell) string { return fmt.Sprintf("%.0f", c.BytesPerBinding) }},
+	)
+	s := fmt.Sprintf("Registration avalanche: sustained REGISTER goodput (reg/s) vs avalanche size\n"+
+		"(location store pre-filled with %d bindings; DB %v x%d pool)\n\n%s",
+		r.Scale.Prefill, r.Scale.DBLatency, r.Scale.DBPool, g.text())
+	if gain := r.CacheGain(); gain > 0 {
+		s += fmt.Sprintf("\nauth-cache gain at %d phones (no control): %.1fx uncached goodput\n", top(r.Scale.Phones), gain)
 	}
-	fmt.Fprintf(&b, "%16s%14s\n", "lookup p50/p99", "B/binding")
-	top := 0
-	if len(r.Scale.Phones) > 0 {
-		top = r.Scale.Phones[len(r.Scale.Phones)-1]
-	}
-	for _, v := range registerVariants() {
-		fmt.Fprintf(&b, "%-17s", v.Name)
-		for _, p := range r.Scale.Phones {
-			c := r.Cell(v.Name, p)
-			if c == nil {
-				fmt.Fprintf(&b, "%24s", "-")
-				continue
-			}
-			fmt.Fprintf(&b, "%24s", fmt.Sprintf("%.0f reg/s (%d shed)", c.BindingsPerSec(), c.Shed))
-		}
-		if c := r.Cell(v.Name, top); c != nil {
-			fmt.Fprintf(&b, "%16s%14.0f\n",
-				fmt.Sprintf("%v/%v", c.LookupP50.Round(time.Microsecond), c.LookupP99.Round(time.Microsecond)),
-				c.BytesPerBinding)
-		} else {
-			b.WriteByte('\n')
-		}
-	}
-	if g := r.CacheGain(); g > 0 {
-		fmt.Fprintf(&b, "\nauth-cache gain at %d phones (no control): %.1fx uncached goodput\n", top, g)
-	}
-	return b.String()
+	return s
 }
 
 // Markdown renders the sweep as a GitHub table for EXPERIMENTS.md.
 func (r *RegisterReport) Markdown() string {
-	var b strings.Builder
-	b.WriteString("\n| variant |")
-	for _, p := range r.Scale.Phones {
-		fmt.Fprintf(&b, " %d phones |", p)
-	}
-	b.WriteString(" shed @ max | lookup p99 @ max | cache hit/miss @ max | B/binding |\n|---|")
-	for range r.Scale.Phones {
-		b.WriteString("---|")
-	}
-	b.WriteString("---|---|---|---|\n")
-	top := 0
-	if len(r.Scale.Phones) > 0 {
-		top = r.Scale.Phones[len(r.Scale.Phones)-1]
-	}
-	for _, v := range registerVariants() {
-		fmt.Fprintf(&b, "| %s |", v.Name)
-		for _, p := range r.Scale.Phones {
-			if c := r.Cell(v.Name, p); c != nil {
-				fmt.Fprintf(&b, " %.0f |", c.BindingsPerSec())
-			} else {
-				b.WriteString(" - |")
-			}
-		}
-		if c := r.Cell(v.Name, top); c != nil {
-			fmt.Fprintf(&b, " %d | %v | %d/%d | %.0f |\n",
-				c.Shed, c.LookupP99.Round(time.Microsecond), c.CacheHits, c.CacheMisses, c.BytesPerBinding)
-		} else {
-			b.WriteString(" - | - | - | - |\n")
-		}
-	}
-	return b.String()
+	return table("variant", "%d phones", r.Scale.Phones, r.Cells, func(c *RegisterCell) string { return c.tput() },
+		column[RegisterCell]{"shed @ max", func(c *RegisterCell) string { return fmt.Sprint(c.Shed) }},
+		column[RegisterCell]{"lookup p99 @ max", func(c *RegisterCell) string { return c.LookupP99.Round(time.Microsecond).String() }},
+		column[RegisterCell]{"cache hit/miss @ max", func(c *RegisterCell) string { return fmt.Sprintf("%d/%d", c.CacheHits, c.CacheMisses) }},
+		column[RegisterCell]{"B/binding", func(c *RegisterCell) string { return fmt.Sprintf("%.0f", c.BytesPerBinding) }},
+	).markdown()
 }

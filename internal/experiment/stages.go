@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gosip/internal/connmgr"
-	"gosip/internal/core"
 	"gosip/internal/metrics"
 	"gosip/internal/transport"
 )
@@ -17,70 +16,34 @@ import (
 // StageCell is one server variant's run: end-of-run snapshot (per-stage
 // histograms), throughput, and the sampled timeline.
 type StageCell struct {
+	Cell
 	Name       string
 	Throughput float64
-	Snapshot   metrics.Snapshot
-	Series     metrics.Series
 }
 
 // stageVariants are the four configurations the stage table compares:
 // the TCP baseline, the Figure 4 fd cache, Figure 5's pqueue on top, and
 // the UDP reference.
-func stageVariants() []struct {
-	name     string
-	workload Workload
-	variant  Variant
-} {
-	tcpPersistent := Workload{Name: "TCP persistent", Transport: transport.TCP, OpsPerConn: 0}
-	udp := Workload{Name: "UDP", Transport: transport.UDP}
-	return []struct {
-		name     string
-		workload Workload
-		variant  Variant
-	}{
-		{"TCP baseline", tcpPersistent, func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			cfg.FDCache = false
-			cfg.ConnMgr = connmgr.KindScan
-			return cfg
-		}},
-		{"TCP fd-cache", tcpPersistent, func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			cfg.FDCache = true
-			cfg.ConnMgr = connmgr.KindScan
-			return cfg
-		}},
-		{"TCP fd-cache+pqueue", tcpPersistent, func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			cfg.FDCache = true
-			cfg.ConnMgr = connmgr.KindPQueue
-			return cfg
-		}},
-		{"UDP", udp, func(w Workload, sc Scale) core.Config {
-			cfg := baseConfig(w, sc)
-			return cfg
-		}},
+func stageVariants() []variantRow {
+	tcp := Workload{Name: "TCP persistent", Transport: transport.TCP}
+	return []variantRow{
+		{"TCP baseline", tcp, figureVariant(false, connmgr.KindScan)},
+		{"TCP fd-cache", tcp, figureVariant(true, connmgr.KindScan)},
+		{"TCP fd-cache+pqueue", tcp, figureVariant(true, connmgr.KindPQueue)},
+		{"UDP", Workload{Name: "UDP", Transport: transport.UDP}, baseConfig},
 	}
 }
 
 // RunStages measures per-stage latency distributions across the four
 // variants at a single client count.
 func RunStages(sc Scale, clients int, progress func(string)) ([]StageCell, error) {
-	var out []StageCell
-	for _, v := range stageVariants() {
-		cell, err := runCell(v.workload, clients, sc, v.variant)
-		if err != nil {
-			return nil, fmt.Errorf("stages (%s): %w", v.name, err)
-		}
-		out = append(out, StageCell{
-			Name:       v.name,
-			Throughput: cell.Result.Throughput,
-			Snapshot:   cell.Snapshot,
-			Series:     cell.Series,
-		})
-		if progress != nil {
-			progress(fmt.Sprintf("[stages] %-20s %4d clients: %s", v.name, clients, cell.Result))
-		}
+	cells, err := runVariants("stages", stageVariants(), sc, clients, progress)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]StageCell, len(cells))
+	for i, c := range cells {
+		out[i] = StageCell{Cell: c, Name: c.row, Throughput: c.Result.Throughput}
 	}
 	return out, nil
 }
@@ -92,79 +55,38 @@ var stageTableRows = []string{
 	metrics.StageSupervisor, metrics.StageProcess, metrics.StageIdleScan,
 }
 
-func stageCellText(h metrics.HistogramSnapshot) string {
-	if h.Count == 0 {
-		return "-"
+// stageGrid lays out the cross-variant per-stage P50/P99 comparison: rows
+// are the stages some variant exercised, columns the server variants.
+func stageGrid(corner string, cells []StageCell) grid {
+	g := grid{{corner}}
+	for _, c := range cells {
+		g[0] = append(g[0], c.Name)
 	}
-	return fmt.Sprintf("%v/%v",
-		h.P50().Round(time.Microsecond), h.P99().Round(time.Microsecond))
+	for _, st := range stageTableRows {
+		line := []string{strings.TrimPrefix(st, "stage.")}
+		seen := false
+		for _, c := range cells {
+			h := c.Snapshot.Histograms[st]
+			if h.Count == 0 {
+				line = append(line, "-")
+				continue
+			}
+			seen = true
+			line = append(line, fmt.Sprintf("%v/%v", h.P50().Round(time.Microsecond), h.P99().Round(time.Microsecond)))
+		}
+		if seen {
+			g = append(g, line)
+		}
+	}
+	line := []string{"throughput"}
+	for _, c := range cells {
+		line = append(line, fmt.Sprintf("%.0f ops/s", c.Throughput))
+	}
+	return append(g, line)
 }
 
-// StageTable renders the cross-variant per-stage P50/P99 comparison as
-// text: rows are stages, columns the server variants.
-func StageTable(cells []StageCell) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s", "stage p50/p99")
-	for _, c := range cells {
-		fmt.Fprintf(&b, " %22s", c.Name)
-	}
-	b.WriteByte('\n')
-	for _, st := range stageTableRows {
-		any := false
-		for _, c := range cells {
-			if c.Snapshot.Histograms[st].Count > 0 {
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		fmt.Fprintf(&b, "%-16s", strings.TrimPrefix(st, "stage."))
-		for _, c := range cells {
-			fmt.Fprintf(&b, " %22s", stageCellText(c.Snapshot.Histograms[st]))
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "%-16s", "throughput")
-	for _, c := range cells {
-		fmt.Fprintf(&b, " %22s", fmt.Sprintf("%.0f ops/s", c.Throughput))
-	}
-	b.WriteByte('\n')
-	return b.String()
-}
+// StageTable renders the per-stage comparison as text.
+func StageTable(cells []StageCell) string { return stageGrid("stage p50/p99", cells).text() }
 
 // StageMarkdown renders the same comparison as a GitHub table.
-func StageMarkdown(cells []StageCell) string {
-	var b strings.Builder
-	b.WriteString("| stage (p50/p99) |")
-	for _, c := range cells {
-		fmt.Fprintf(&b, " %s |", c.Name)
-	}
-	b.WriteString("\n|---|")
-	for range cells {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, st := range stageTableRows {
-		any := false
-		for _, c := range cells {
-			if c.Snapshot.Histograms[st].Count > 0 {
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		fmt.Fprintf(&b, "| %s |", strings.TrimPrefix(st, "stage."))
-		for _, c := range cells {
-			fmt.Fprintf(&b, " %s |", stageCellText(c.Snapshot.Histograms[st]))
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("| **throughput** |")
-	for _, c := range cells {
-		fmt.Fprintf(&b, " %.0f ops/s |", c.Throughput)
-	}
-	b.WriteByte('\n')
-	return b.String()
-}
+func StageMarkdown(cells []StageCell) string { return stageGrid("stage (p50/p99)", cells).markdown() }

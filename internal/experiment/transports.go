@@ -27,9 +27,9 @@ const perCallOps = 2
 // TransportCell is one (transport variant, client count) measurement with
 // the TLS accounting the gap analysis needs.
 type TransportCell struct {
+	Measured
 	Name    string
 	Clients int
-	Result  loadgen.Result
 	// Server-side TLS accounting (zero for UDP/TCP cells): handshakes the
 	// proxy performed, split full vs ticket-resumed, the handshake latency
 	// distribution, and sends pinned to the owning process because TLS
@@ -39,16 +39,6 @@ type TransportCell struct {
 	PinnedSends    int64
 	Handshake      metrics.HistogramSnapshot
 	Snapshot       metrics.Snapshot
-}
-
-// tlsSuffix is the progress-line tail for TLS cells.
-func (c *TransportCell) tlsSuffix() string {
-	if c.FullHandshakes == 0 && c.Resumptions == 0 {
-		return ""
-	}
-	return fmt.Sprintf("  [hs %d full/%d resumed, p99=%v, %d pinned]",
-		c.FullHandshakes, c.Resumptions,
-		c.Handshake.P99().Round(time.Microsecond), c.PinnedSends)
 }
 
 // transportVariant is one column of the matrix.
@@ -81,34 +71,37 @@ type TransportFigure struct {
 // per-call} × {resumption on, off} for the stream transports — on the tuned
 // architecture (fd cache + pqueue). The proxy's certificate is generated at
 // run time and shared with the phone fleet as its trust root; no key
-// material touches disk.
+// material touches disk. A cell in which any call fails is an error.
 func RunTransports(sc Scale, progress func(string)) (*TransportFigure, error) {
 	cert, pool, err := transport.GenerateSelfSigned("gosip-bench")
 	if err != nil {
 		return nil, fmt.Errorf("transports: certificate: %w", err)
 	}
-	fig := &TransportFigure{Scale: sc}
-	for _, clients := range sc.Clients {
-		for _, v := range transportVariants() {
-			cell, err := runTransportCell(v, clients, sc, cert, pool)
-			if err != nil {
-				return nil, fmt.Errorf("transports (%s, %d clients): %w", v.name, clients, err)
+	cells, err := sweep(sweepSpec[transportVariant, TransportCell]{
+		tag: "transports", rows: transportVariants(), name: func(v transportVariant) string { return v.name },
+		loads: sc.Clients, unit: "clients",
+		run: func(v transportVariant, clients int) (TransportCell, error) {
+			return runTransportCell(v, clients, sc, cert, pool)
+		},
+		note: func(c *TransportCell) string {
+			if c.FullHandshakes == 0 && c.Resumptions == 0 {
+				return ""
 			}
-			fig.Cells = append(fig.Cells, *cell)
-			if progress != nil {
-				progress(fmt.Sprintf("[fig transports] %-22s %4d clients: %s%s",
-					v.name, clients, cell.Result, cell.tlsSuffix()))
-			}
-		}
+			return fmt.Sprintf("hs %d full/%d resumed, p99=%v, %d pinned",
+				c.FullHandshakes, c.Resumptions, c.Handshake.P99().Round(time.Microsecond), c.PinnedSends)
+		},
+	}, progress)
+	if err != nil {
+		return nil, err
 	}
-	return fig, nil
+	return &TransportFigure{Scale: sc, Cells: cells}, nil
 }
 
 // runTransportCell runs one fresh server + workload pair. TLS cells arm
 // resumption on both sides: the server issues session tickets (with a
 // rotating key, exercising the rotation path under load) and the phone
 // fleet shares one client session cache so per-call reconnects resume.
-func runTransportCell(v transportVariant, clients int, sc Scale, cert tls.Certificate, pool *x509.CertPool) (*TransportCell, error) {
+func runTransportCell(v transportVariant, clients int, sc Scale, cert tls.Certificate, pool *x509.CertPool) (TransportCell, error) {
 	w := Workload{Name: v.name, Transport: v.transport, OpsPerConn: v.opsPerConn}
 	cfg := baseConfig(w, sc)
 	cfg.FDCache = true
@@ -117,7 +110,13 @@ func runTransportCell(v transportVariant, clients int, sc Scale, cert tls.Certif
 		cfg.ConnMgr = connmgr.KindScan // UDP has no connections to manage
 		cfg.FDCache = false
 	}
-	var fleetTLS *transport.TLSContext
+	lc := loadgen.Config{
+		Transport:       w.Transport,
+		Pairs:           clients,
+		CallsPerCaller:  sc.CallsPerCaller,
+		OpsPerConn:      w.OpsPerConn,
+		ResponseTimeout: sc.ResponseTimeout,
+	}
 	if v.transport == transport.TLS {
 		cfg.TLS = &core.TLSSettings{
 			Cert:         cert,
@@ -126,136 +125,63 @@ func runTransportCell(v transportVariant, clients int, sc Scale, cert tls.Certif
 			TicketRotate: 30 * time.Second,
 		}
 		var err error
-		fleetTLS, err = transport.NewTLSContext(transport.TLSOptions{
+		lc.TLS, err = transport.NewTLSContext(transport.TLSOptions{
 			Cert:    cert,
 			RootCAs: pool,
 			Resume:  v.resume,
 		})
 		if err != nil {
-			return nil, err
+			return TransportCell{}, err
 		}
 	}
-	srv, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	srv.DB().ProvisionN(2*clients, cfg.Domain)
-
-	res, err := loadgen.Run(loadgen.Config{
-		Transport:       w.Transport,
-		TLS:             fleetTLS,
-		ProxyAddr:       srv.Addr(),
-		Domain:          cfg.Domain,
-		Pairs:           clients,
-		CallsPerCaller:  sc.CallsPerCaller,
-		OpsPerConn:      w.OpsPerConn,
-		ResponseTimeout: sc.ResponseTimeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap := srv.Profile().Snapshot()
-	return &TransportCell{
+	run, err := runServer(cfg, lc)
+	snap := run.snap
+	c := TransportCell{
+		Measured:       Measured{Result: run.res},
 		Name:           v.name,
 		Clients:        clients,
-		Result:         res,
 		FullHandshakes: snap.Counters[metrics.MetricTLSFullHandshakes],
 		Resumptions:    snap.Counters[metrics.MetricTLSResumptions],
 		PinnedSends:    snap.Counters[metrics.MetricTLSPinnedSends],
 		Handshake:      snap.Histograms[metrics.StageHandshake],
 		Snapshot:       snap,
-	}, nil
-}
-
-// cell returns the measurement for (name, clients), or nil.
-func (f *TransportFigure) cell(name string, clients int) *TransportCell {
-	for i := range f.Cells {
-		if f.Cells[i].Name == name && f.Cells[i].Clients == clients {
-			return &f.Cells[i]
-		}
 	}
-	return nil
+	if err == nil && run.res.CallsFailed > 0 {
+		err = fmt.Errorf("%d calls failed", run.res.CallsFailed)
+	}
+	return c, err
 }
 
 // Throughput returns ops/s for (variant name, clients), or 0.
 func (f *TransportFigure) Throughput(name string, clients int) float64 {
-	if c := f.cell(name, clients); c != nil {
-		return c.Result.Throughput
-	}
-	return 0
+	return throughput(f.Cells, name, clients)
 }
 
-// OfTCPPersistent returns a variant's throughput as a percentage of the TCP
-// persistent column at the same client count — the convergence number the
-// amortization story is judged on.
-func (f *TransportFigure) OfTCPPersistent(name string, clients int) float64 {
-	base := f.Throughput("TCP persistent", clients)
-	if base <= 0 {
-		return 0
-	}
-	return 100 * f.Throughput(name, clients) / base
-}
-
-func (f *TransportFigure) names() []string {
-	var names []string
-	seen := map[string]bool{}
-	for _, c := range f.Cells {
-		if !seen[c.Name] {
-			seen[c.Name] = true
-			names = append(names, c.Name)
-		}
-	}
-	return names
+func (f *TransportFigure) grid(tail ...column[TransportCell]) grid {
+	return table("variant", "%d clients", f.Scale.Clients, f.Cells,
+		func(c *TransportCell) string { return c.tput() }, tail...)
 }
 
 // Table renders the matrix as text: ops/s per cell, each stream variant as
-// a percentage of TCP persistent, and the TLS handshake accounting.
+// a percentage of TCP persistent (the convergence number the amortization
+// story is judged on), and the TLS handshake accounting.
 func (f *TransportFigure) Table() string {
+	g := ratioRows(f.grid(), f.Cells, f.Scale.Clients, "TCP persistent", " /TCPp", "UDP", "TCP persistent")
 	var b strings.Builder
 	b.WriteString("Figure transports: UDP/TCP/TLS matrix (ops/s)\n")
-	fmt.Fprintf(&b, "%-28s", "variant")
-	for _, c := range f.Scale.Clients {
-		fmt.Fprintf(&b, "%14s", fmt.Sprintf("%d clients", c))
-	}
-	b.WriteByte('\n')
-	for _, name := range f.names() {
-		fmt.Fprintf(&b, "%-28s", name)
-		for _, c := range f.Scale.Clients {
-			fmt.Fprintf(&b, "%14.0f", f.Throughput(name, c))
-		}
-		b.WriteByte('\n')
-	}
-	for _, name := range f.names() {
-		if name == "UDP" || name == "TCP persistent" {
-			continue
-		}
-		fmt.Fprintf(&b, "%-28s", name+" /TCPp")
-		for _, c := range f.Scale.Clients {
-			if pct := f.OfTCPPersistent(name, c); pct > 0 {
-				fmt.Fprintf(&b, "%13.0f%%", pct)
-			} else {
-				fmt.Fprintf(&b, "%14s", "-")
+	b.WriteString(g.text())
+	for _, clients := range f.Scale.Clients {
+		for _, name := range rowNames(f.Cells) {
+			c := lookup(f.Cells, name, clients)
+			if c.FullHandshakes == 0 && c.Resumptions == 0 {
+				continue
 			}
+			fmt.Fprintf(&b, "%-28s %4d clients: %d full + %d resumed handshakes (p50=%v p99=%v), %d pinned sends, %d reconnects\n",
+				c.Name, c.Clients, c.FullHandshakes, c.Resumptions,
+				c.Handshake.P50().Round(time.Microsecond),
+				c.Handshake.P99().Round(time.Microsecond),
+				c.PinnedSends, c.Result.Reconnects)
 		}
-		b.WriteByte('\n')
-	}
-	b.WriteString(f.handshakeLines())
-	return b.String()
-}
-
-// handshakeLines summarizes the TLS cells' handshake accounting.
-func (f *TransportFigure) handshakeLines() string {
-	var b strings.Builder
-	for _, c := range f.Cells {
-		if c.FullHandshakes == 0 && c.Resumptions == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-28s %4d clients: %d full + %d resumed handshakes (p50=%v p99=%v), %d pinned sends, %d reconnects\n",
-			c.Name, c.Clients, c.FullHandshakes, c.Resumptions,
-			c.Handshake.P50().Round(time.Microsecond),
-			c.Handshake.P99().Round(time.Microsecond),
-			c.PinnedSends, c.Result.Reconnects)
 	}
 	return b.String()
 }
@@ -263,37 +189,20 @@ func (f *TransportFigure) handshakeLines() string {
 // Markdown renders the matrix for EXPERIMENTS.md: throughput columns plus
 // the %-of-TCP-persistent convergence column at the largest client count.
 func (f *TransportFigure) Markdown() string {
-	var b strings.Builder
-	big := 0
-	if n := len(f.Scale.Clients); n > 0 {
-		big = f.Scale.Clients[n-1]
-	}
-	b.WriteString("| variant |")
-	for _, c := range f.Scale.Clients {
-		fmt.Fprintf(&b, " %d clients |", c)
-	}
-	fmt.Fprintf(&b, " %% of TCP persistent @%d | handshakes (full/resumed) |\n|---|", big)
-	for range f.Scale.Clients {
-		b.WriteString("---|")
-	}
-	b.WriteString("---|---|\n")
-	for _, name := range f.names() {
-		fmt.Fprintf(&b, "| %s |", name)
-		for _, c := range f.Scale.Clients {
-			fmt.Fprintf(&b, " %.0f |", f.Throughput(name, c))
-		}
-		if name == "UDP" || name == "TCP persistent" {
-			b.WriteString(" — |")
-		} else if pct := f.OfTCPPersistent(name, big); pct > 0 {
-			fmt.Fprintf(&b, " %.0f%% |", pct)
-		} else {
-			b.WriteString(" — |")
-		}
-		if cell := f.cell(name, big); cell != nil && (cell.FullHandshakes > 0 || cell.Resumptions > 0) {
-			fmt.Fprintf(&b, " %d/%d |\n", cell.FullHandshakes, cell.Resumptions)
-		} else {
-			b.WriteString(" — |\n")
-		}
-	}
-	return b.String()
+	big := top(f.Scale.Clients)
+	return f.grid(
+		column[TransportCell]{fmt.Sprintf("%% of TCP persistent @%d", big),
+			func(c *TransportCell) string {
+				if c.Name == "UDP" || c.Name == "TCP persistent" {
+					return "-"
+				}
+				return pct(ratio(f.Cells, c.Name, "TCP persistent", big))
+			}},
+		column[TransportCell]{"handshakes (full/resumed)", func(c *TransportCell) string {
+			if c.FullHandshakes == 0 && c.Resumptions == 0 {
+				return "-"
+			}
+			return fmt.Sprintf("%d/%d", c.FullHandshakes, c.Resumptions)
+		}},
+	).markdown()
 }
