@@ -124,6 +124,11 @@ type Engine struct {
 	db   *userdb.DB
 	txns *transaction.Table
 
+	// viaPrefix is this proxy's Via value up to the branch value,
+	// "SIP/2.0/<T> host:port;branch=", rendered once so each forward only
+	// appends a fresh branch.
+	viaPrefix string
+
 	// timerSender delivers retransmissions and timeouts from the timer
 	// goroutine; nil disables retransmission even for unreliable
 	// transports.
@@ -149,6 +154,7 @@ func NewEngine(cfg Config, loc *location.Service, db *userdb.DB, txns *transacti
 		loc:            loc,
 		db:             db,
 		txns:           txns,
+		viaPrefix:      sipmsg.Via{Transport: cfg.ViaTransport, Host: cfg.ViaHost, Port: cfg.ViaPort}.String() + ";branch=",
 		msgs:           profile.Counter(metrics.MetricMsgsProcessed),
 		drops:          profile.Counter("proxy.drops"),
 		absorbed:       profile.Counter("proxy.absorbed"),
@@ -170,15 +176,11 @@ func (e *Engine) SetTimerSender(s Sender) { e.timerSender = s }
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// ownVia builds this proxy's Via header value with a fresh branch.
-func (e *Engine) ownVia() (sipmsg.Via, string) {
-	branch := sipmsg.NewBranch()
-	return sipmsg.Via{
-		Transport: e.cfg.ViaTransport,
-		Host:      e.cfg.ViaHost,
-		Port:      e.cfg.ViaPort,
-		Params:    map[string]string{"branch": branch},
-	}, branch
+// ownVia builds this proxy's Via header value with a fresh branch; the
+// value string is its only allocation.
+func (e *Engine) ownVia() string {
+	var buf [128]byte
+	return string(sipmsg.AppendBranch(append(buf[:0], e.viaPrefix...)))
 }
 
 // Handle processes one message. It is called from a worker's event loop;
@@ -237,8 +239,8 @@ func (e *Engine) handleRequest(s Sender, m *sipmsg.Message, origin any) {
 // matching transaction (e.g. after the absorb window closed).
 func (e *Engine) handleAck(s Sender, m *sipmsg.Message) {
 	if e.cfg.Stateful && e.txns != nil {
-		if top, err := m.TopVia(); err == nil && top.Branch() != "" {
-			if tx := e.txns.MatchParts(top.Branch(), sipmsg.ACK); tx != nil {
+		if top, err := m.TopHop(); err == nil && top.Branch != "" {
+			if tx := e.txns.MatchParts(top.Branch, sipmsg.ACK); tx != nil {
 				if e.txns.OnAck(tx) == transaction.AckAbsorbed {
 					e.absorbed.Inc()
 					tc := trace.Of(m)
@@ -283,8 +285,8 @@ func (e *Engine) handleCancel(s Sender, m *sipmsg.Message, origin any) {
 		e.reply(s, m, origin, sipmsg.StatusNotImplemented)
 		return
 	}
-	top, err := m.TopVia()
-	if err != nil || top.Branch() == "" {
+	top, err := m.TopHop()
+	if err != nil || top.Branch == "" {
 		e.reply(s, m, origin, sipmsg.StatusBadRequest)
 		return
 	}
@@ -303,7 +305,7 @@ func (e *Engine) handleCancel(s Sender, m *sipmsg.Message, origin any) {
 		trace.Of(m).Finish(status)
 		return
 	}
-	inv := e.txns.MatchParts(top.Branch(), sipmsg.INVITE)
+	inv := e.txns.MatchParts(top.Branch, sipmsg.INVITE)
 	if inv == nil {
 		e.finalizeLocal(s, ctx, sipmsg.StatusTransactionNotFound)
 		return
@@ -481,8 +483,7 @@ func (e *Engine) forwardStateful(s Sender, m *sipmsg.Message, origin any) {
 	fwd := m.Clone()
 	borrowTrace(fwd, m)
 	fwd.Set("Max-Forwards", strconv.Itoa(m.MaxForwards(70)-1))
-	via, _ := e.ownVia()
-	fwd.Prepend("Via", via.String())
+	fwd.Prepend("Via", e.ownVia())
 	if e.cfg.RecordRoute && m.Method == sipmsg.INVITE {
 		fwd.Prepend("Record-Route", sipmsg.NameAddr{URI: e.ownRouteURI()}.String())
 	}
@@ -580,7 +581,8 @@ func (e *Engine) ackDownstream(s Sender, tx *transaction.Transaction, resp *sipm
 	if !ok {
 		return
 	}
-	via, _ := e.ownVia()
+	// NewAck gives a non-2xx ACK the forwarded INVITE's branch.
+	via := sipmsg.Via{Transport: e.cfg.ViaTransport, Host: e.cfg.ViaHost, Port: e.cfg.ViaPort}
 	ack := sipmsg.NewAck(fwd, resp, via)
 	borrowTrace(ack, tx.Request())
 	if e.sendToBinding(s, binding, ack) != nil {
@@ -593,9 +595,14 @@ func (e *Engine) ackDownstream(s Sender, tx *transaction.Transaction, resp *sipm
 // branch: the CANCEL targets the INVITE's transaction at the next hop) —
 // and sends it along the INVITE's route. A CANCEL must not carry a body,
 // body-describing headers, or the INVITE's Record-Route, and it is a
-// single-hop request, so only our own Via survives the clone.
+// single-hop request, so only our own Via survives the clone, copied
+// verbatim from the INVITE.
 func (e *Engine) cancelDownstream(s Sender, tx *transaction.Transaction, fwd *sipmsg.Message) {
 	binding, ok := tx.DownRoute().(location.Binding)
+	if !ok {
+		return
+	}
+	top, ok := fwd.Get("Via")
 	if !ok {
 		return
 	}
@@ -607,10 +614,8 @@ func (e *Engine) cancelDownstream(s Sender, tx *transaction.Transaction, fwd *si
 	cancel.Del("Content-Type")
 	cancel.Del("Content-Length")
 	cancel.Del("Record-Route")
-	if top, err := fwd.TopVia(); err == nil {
-		cancel.Del("Via")
-		cancel.Add("Via", top.String())
-	}
+	cancel.Del("Via")
+	cancel.Prepend("Via", top)
 	borrowTrace(cancel, tx.Request())
 	if e.sendToBinding(s, binding, cancel) != nil {
 		e.sendErrs.Inc()
@@ -652,8 +657,7 @@ func (e *Engine) forwardStateless(s Sender, m *sipmsg.Message) {
 	fwd := m.Clone()
 	borrowTrace(fwd, m)
 	fwd.Set("Max-Forwards", strconv.Itoa(m.MaxForwards(70)-1))
-	via, _ := e.ownVia()
-	fwd.Prepend("Via", via.String())
+	fwd.Prepend("Via", e.ownVia())
 	if err := e.sendToBinding(s, binding, fwd); err != nil {
 		e.drops.Inc()
 	}
@@ -664,8 +668,8 @@ func (e *Engine) forwardStateless(s Sender, m *sipmsg.Message) {
 // (§16.7), retransmitted finals were already answered, and non-2xx INVITE
 // finals are ACKed downstream by the transaction layer itself.
 func (e *Engine) handleResponse(s Sender, m *sipmsg.Message) {
-	top, err := m.TopVia()
-	if err != nil || top.Branch() == "" {
+	top, err := m.TopHop()
+	if err != nil || top.Branch == "" {
 		e.drops.Inc()
 		return
 	}
@@ -706,7 +710,7 @@ func (e *Engine) handleResponse(s Sender, m *sipmsg.Message) {
 	// MatchParts assembles branch|method in a stack buffer: the per-response
 	// key string the old path allocated is gone from the hot path entirely.
 	t0 := time.Now()
-	tx := e.txns.MatchParts(top.Branch(), method)
+	tx := e.txns.MatchParts(top.Branch, method)
 	d := time.Since(t0)
 	e.txnHist.Record(d)
 	if tx == nil {

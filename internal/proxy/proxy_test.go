@@ -842,3 +842,37 @@ func TestCancelAgainstCompletedTransaction(t *testing.T) {
 		t.Error("CANCEL propagated downstream despite completed INVITE")
 	}
 }
+
+// TestCancelCopiesTopViaVerbatim: the §9.1 CANCEL carries the forwarded
+// INVITE's top Via value byte for byte, not a re-rendering of it that
+// would reorder or respell its parameters.
+func TestCancelCopiesTopViaVerbatim(t *testing.T) {
+	v := newEnv(t, true, false)
+	v.registerUser(1, "10.0.0.2", 5072)
+	s := &fakeSender{}
+	req := invite(0, 1)
+	v.engine.Handle(s, req, "o")
+	key, _ := req.TransactionKey()
+	tx := v.txns.Match(key)
+	if tx == nil {
+		t.Fatal("setup: no INVITE transaction")
+	}
+	fwd := s.addrMsgs()[0].msg.Clone()
+	const top = "SIP/2.0/UDP 127.0.0.1:5060;rport;branch=z9hG4bKverbatim;Received=10.0.0.9"
+	fwd.RemoveFirst("Via")
+	fwd.Prepend("Via", top)
+
+	v.engine.cancelDownstream(s, tx, fwd)
+	var down *sipmsg.Message
+	for _, sm := range s.addrMsgs() {
+		if sm.msg.Method == sipmsg.CANCEL {
+			down = sm.msg
+		}
+	}
+	if down == nil {
+		t.Fatal("no downstream CANCEL")
+	}
+	if vias := down.GetAll("Via"); len(vias) != 1 || vias[0] != top {
+		t.Errorf("CANCEL Vias = %q, want exactly %q", vias, top)
+	}
+}

@@ -122,3 +122,42 @@ func TestStreamNextAllocs(t *testing.T) {
 		t.Errorf("Feed+Next+Release allocates %.1f/op, want <= 2", got)
 	}
 }
+
+var branchSink string
+
+// TestTopHopAllocs pins the proxy's per-message reads of a parsed message
+// at zero allocations: the top-hop view and the CSeq scan return
+// substrings of the retained head, and the transaction key costs only the
+// key string itself.
+func TestTopHopAllocs(t *testing.T) {
+	skipIfRace(t)
+	m, err := Parse([]byte(sampleInvite))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	if got := testing.AllocsPerRun(500, func() {
+		if top, err := m.TopHop(); err != nil || top.Branch == "" {
+			t.Fatalf("TopHop = %+v, %v", top, err)
+		}
+	}); got != 0 {
+		t.Errorf("TopHop allocates %.1f/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(500, func() {
+		if _, _, err := m.CSeq(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("CSeq allocates %.1f/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(500, func() {
+		if _, err := m.TransactionKey(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("TransactionKey allocates %.1f/op, want 1 (the key)", got)
+	}
+	if got := testing.AllocsPerRun(500, func() { branchSink = NewBranch() }); got != 1 {
+		t.Errorf("NewBranch allocates %.1f/op, want 1 (the branch)", got)
+	}
+}

@@ -18,16 +18,35 @@ var (
 	idRand    = rand.New(rand.NewSource(0x5317b007)) // deterministic; uniqueness comes from the counter
 )
 
-func uniqueToken() string {
+// appendToken appends a fresh unique token to dst. Callers pass a stack
+// buffer so the only allocation is the string they finally make of it.
+func appendToken(dst []byte) []byte {
 	n := atomic.AddUint64(&idCounter, 1)
 	idRandMu.Lock()
 	r := idRand.Uint64()
 	idRandMu.Unlock()
-	return strconv.FormatUint(r&0xffffff, 36) + "-" + strconv.FormatUint(n, 36)
+	dst = strconv.AppendUint(dst, r&0xffffff, 36)
+	dst = append(dst, '-')
+	return strconv.AppendUint(dst, n, 36)
+}
+
+func uniqueToken() string {
+	var buf [32]byte
+	return string(appendToken(buf[:0]))
+}
+
+// AppendBranch appends a fresh RFC 3261 branch parameter value — the magic
+// cookie and a unique token — to dst, so a caller holding a pre-rendered
+// Via prefix can build its Via value with a single allocation.
+func AppendBranch(dst []byte) []byte {
+	return appendToken(append(dst, MagicCookie...))
 }
 
 // NewBranch generates a unique RFC 3261 branch parameter.
-func NewBranch() string { return MagicCookie + uniqueToken() }
+func NewBranch() string {
+	var buf [32]byte
+	return string(AppendBranch(buf[:0]))
+}
 
 // NewTag generates a From/To tag.
 func NewTag() string { return uniqueToken() }
@@ -94,8 +113,19 @@ func NewRequest(spec RequestSpec) *Message {
 // responses, given toTag when the request's To had none.
 func NewResponse(req *Message, code int, toTag string) *Message {
 	resp := &Message{StatusCode: code, Reason: StatusText(code)}
-	for _, v := range req.GetAll("Via") {
-		resp.Add("Via", v)
+	vias := 0
+	for i := range req.Headers {
+		if req.Headers[i].Name == "Via" {
+			vias++
+		}
+	}
+	// The Vias, From, To, Call-ID and CSeq, plus room for the one or two
+	// headers a responder adds (Contact, Expires, Retry-After, ...).
+	resp.Headers = make([]Header, 0, vias+6)
+	for _, h := range req.Headers {
+		if h.Name == "Via" {
+			resp.Headers = append(resp.Headers, h)
+		}
 	}
 	if from, ok := req.Get("From"); ok {
 		resp.Add("From", from)
@@ -132,8 +162,8 @@ func NewAck(invite *Message, resp *Message, via Via) *Message {
 	}
 	if resp.StatusCode >= 300 {
 		// Non-2xx ACK belongs to the INVITE transaction: same branch.
-		if iv, err := invite.TopVia(); err == nil {
-			v.Params["branch"] = iv.Branch()
+		if top, err := invite.TopHop(); err == nil {
+			v.Params["branch"] = top.Branch
 		}
 	} else {
 		v.Params["branch"] = NewBranch()

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 )
 
 // Method is a SIP request method.
@@ -466,17 +467,29 @@ func (m *Message) CSeq() (uint32, Method, error) {
 	return ParseCSeq(v)
 }
 
-// ParseCSeq parses a CSeq header value of the form "<seq> <METHOD>".
+// ParseCSeq parses a CSeq header value of the form "<seq> <METHOD>": two
+// whitespace-separated fields, scanned in place without allocating.
 func ParseCSeq(v string) (uint32, Method, error) {
-	fields := strings.Fields(v)
-	if len(fields) != 2 {
+	num, rest := nextField(v)
+	method, rest := nextField(rest)
+	if method == "" || strings.TrimSpace(rest) != "" {
 		return 0, "", fmt.Errorf("sipmsg: malformed CSeq %q", v)
 	}
-	n, err := strconv.ParseUint(fields[0], 10, 32)
+	n, err := strconv.ParseUint(num, 10, 32)
 	if err != nil {
-		return 0, "", fmt.Errorf("sipmsg: malformed CSeq number %q: %v", fields[0], err)
+		return 0, "", fmt.Errorf("sipmsg: malformed CSeq number %q: %v", num, err)
 	}
-	return uint32(n), Method(strings.ToUpper(fields[1])), nil
+	return uint32(n), Method(strings.ToUpper(method)), nil
+}
+
+// nextField returns the first field of s, as strings.Fields splits it, and
+// what follows that field.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // MaxForwards returns the Max-Forwards value, or def when absent/garbled.
@@ -500,6 +513,17 @@ func (m *Message) TopVia() (Via, error) {
 		return Via{}, fmt.Errorf("sipmsg: missing Via")
 	}
 	return ParseVia(v)
+}
+
+// TopHop returns the transport, sent-by and branch of the first Via
+// header without parsing its other parameters, or an error if the header
+// is absent or malformed.
+func (m *Message) TopHop() (Hop, error) {
+	v, ok := m.Get("Via")
+	if !ok {
+		return Hop{}, fmt.Errorf("sipmsg: missing Via")
+	}
+	return parseHop(v)
 }
 
 // FromTag and ToTag extract the tag parameter of the From/To headers;
@@ -527,11 +551,11 @@ func tagOf(m *Message, name string) string {
 // transaction; a CANCEL constructs its own server transaction and keys as
 // itself — callers cancel the INVITE by looking up branch+INVITE).
 func (m *Message) TransactionKey() (string, error) {
-	via, err := m.TopVia()
+	top, err := m.TopHop()
 	if err != nil {
 		return "", err
 	}
-	branch := via.Branch()
+	branch := top.Branch
 	if branch == "" {
 		return "", fmt.Errorf("sipmsg: top Via has no branch")
 	}
@@ -564,7 +588,13 @@ func (m *Message) Clone() *Message {
 		StatusCode: m.StatusCode,
 		Reason:     m.Reason,
 	}
-	c.Headers = make([]Header, len(m.Headers))
+	// A forwarded request gains a Via and possibly a Record-Route: reserve
+	// room for both so the push does not grow the slice again.
+	room := 0
+	if m.IsRequest {
+		room = 2
+	}
+	c.Headers = make([]Header, len(m.Headers), len(m.Headers)+room)
 	copy(c.Headers, m.Headers)
 	if m.Body != nil {
 		c.Body = make([]byte, len(m.Body))

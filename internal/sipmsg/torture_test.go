@@ -117,6 +117,68 @@ var tortureAccepted = []tortureCase{
 			}
 		},
 	},
+	{
+		name: "whitespace around the branch equals sign",
+		raw: "OPTIONS sip:b@b.example SIP/2.0\r\n" +
+			"Via: SIP/2.0/UDP a.example; branch = z9hG4bK7\r\n" +
+			"From: <sip:a@a.example>;tag=x\r\n" +
+			"To: <sip:b@b.example>\r\n" +
+			"Call-ID: ws1\r\nCSeq: 1 OPTIONS\r\n\r\n",
+		check: checkTopHop("UDP", "a.example", 0, "z9hG4bK7"),
+	},
+	{
+		name: "lower-case sent-protocol",
+		raw: "OPTIONS sip:b@b.example SIP/2.0\r\n" +
+			"Via: sip/2.0/udp a.example:5070;branch=z9hG4bK8\r\n" +
+			"From: <sip:a@a.example>;tag=x\r\n" +
+			"To: <sip:b@b.example>\r\n" +
+			"Call-ID: ws2\r\nCSeq: 1 OPTIONS\r\n\r\n",
+		check: checkTopHop("UDP", "a.example", 5070, "z9hG4bK8"),
+	},
+	{
+		name: "whitespace around sent-protocol slashes",
+		raw: "OPTIONS sip:b@b.example SIP/2.0\r\n" +
+			"Via: SIP / 2.0 / TCP a.example;branch=z9hG4bK9\r\n" +
+			"From: <sip:a@a.example>;tag=x\r\n" +
+			"To: <sip:b@b.example>\r\n" +
+			"Call-ID: ws3\r\nCSeq: 1 OPTIONS\r\n\r\n",
+		check: checkTopHop("TCP", "a.example", 0, "z9hG4bK9"),
+	},
+	{
+		// The Via of RFC 4475 §3.1.1.1 ("wsinv"): folded across lines
+		// with whitespace on both sides of each slash.
+		name: "folded Via from the wsinv torture message",
+		raw: "INVITE sip:vivekg@chair-dnrc.example.com SIP/2.0\r\n" +
+			"Via  : SIP  /   2.0\r\n /UDP\r\n    192.0.2.2;branch=390skdjuw\r\n" +
+			"From: <sip:a@a.example>;tag=x\r\n" +
+			"To: <sip:vivekg@chair-dnrc.example.com>\r\n" +
+			"Call-ID: ws4\r\nCSeq: 0009\r\n  INVITE\r\n\r\n",
+		check: func(t *testing.T, m *Message) {
+			checkTopHop("UDP", "192.0.2.2", 0, "390skdjuw")(t, m)
+			if seq, method, err := m.CSeq(); err != nil || seq != 9 || method != INVITE {
+				t.Errorf("CSeq = %d %s (%v)", seq, method, err)
+			}
+		},
+	},
+}
+
+// checkTopHop checks the top Via through both the view and ParseVia, and
+// that the branch keys a transaction.
+func checkTopHop(transport, host string, port int, branch string) func(*testing.T, *Message) {
+	return func(t *testing.T, m *Message) {
+		t.Helper()
+		top, err := m.TopHop()
+		if err != nil || top.Transport != transport || top.Host != host || top.Port != port || top.Branch != branch {
+			t.Errorf("TopHop = %+v (%v), want %s %s:%d branch %q", top, err, transport, host, port, branch)
+		}
+		via, err := m.TopVia()
+		if err != nil || via.Transport != transport || via.Host != host || via.Port != port || via.Branch() != branch {
+			t.Errorf("TopVia = %+v (%v), want %s %s:%d branch %q", via, err, transport, host, port, branch)
+		}
+		if key, err := m.TransactionKey(); err != nil || !strings.HasPrefix(key, branch+"|") {
+			t.Errorf("TransactionKey = %q (%v)", key, err)
+		}
+	}
 }
 
 func TestTortureAccepted(t *testing.T) {

@@ -99,8 +99,9 @@ func parseParams(s string) map[string]string {
 		if kv == "" {
 			continue
 		}
+		// RFC 3261 §25.1 allows whitespace around "=" (EQUAL is SWS "=" SWS).
 		if i := strings.IndexByte(kv, '='); i >= 0 {
-			params[strings.ToLower(kv[:i])] = kv[i+1:]
+			params[strings.ToLower(strings.TrimSpace(kv[:i]))] = strings.TrimSpace(kv[i+1:])
 		} else {
 			params[strings.ToLower(kv)] = ""
 		}
@@ -312,33 +313,75 @@ type Via struct {
 	Params    map[string]string
 }
 
+// Hop is what a proxy reads from one Via value to route on: the transport
+// and sent-by of the hop that sent the message, and the branch naming its
+// transaction. Its strings are substrings of the value, found without
+// building a parameter map (Transport is upper-cased, which copies only a
+// transport not already written in upper case).
+type Hop struct {
+	Transport string
+	Host      string
+	Port      int
+	Branch    string
+
+	params string // the parameters after sent-by's ';', for ParseVia
+}
+
 // ParseVia parses a single Via header value.
 func ParseVia(s string) (Via, error) {
+	h, err := parseHop(s)
+	if err != nil {
+		return Via{}, err
+	}
+	v := Via{Transport: h.Transport, Host: h.Host, Port: h.Port}
+	if h.params != "" {
+		v.Params = parseParams(h.params)
+	}
+	return v, nil
+}
+
+// parseHop scans a Via value's sent-protocol, sent-by and branch. RFC 3261
+// §25.1 spells sent-protocol "SIP" SLASH "2.0" SLASH transport, with
+// whitespace allowed around each slash and the literals case-insensitive.
+// A repeated branch parameter resolves to the last one, as in ParseVia's
+// parameter map.
+func parseHop(s string) (Hop, error) {
 	s = strings.TrimSpace(s)
-	var v Via
-	rest, ok := strings.CutPrefix(s, "SIP/2.0/")
-	if !ok {
-		return v, fmt.Errorf("sipmsg: Via %q: missing SIP/2.0/ prefix", s)
+	var h Hop
+	rest := s
+	for _, lit := range [...]string{"SIP", "2.0"} {
+		if len(rest) < len(lit) || !strings.EqualFold(rest[:len(lit)], lit) {
+			return h, fmt.Errorf("sipmsg: Via %q: missing SIP/2.0/ prefix", s)
+		}
+		rest = strings.TrimLeft(rest[len(lit):], " \t")
+		if rest == "" || rest[0] != '/' {
+			return h, fmt.Errorf("sipmsg: Via %q: missing SIP/2.0/ prefix", s)
+		}
+		rest = strings.TrimLeft(rest[1:], " \t")
 	}
 	sp := strings.IndexAny(rest, " \t")
 	if sp < 0 {
-		return v, fmt.Errorf("sipmsg: Via %q: missing sent-by", s)
+		return h, fmt.Errorf("sipmsg: Via %q: missing sent-by", s)
 	}
-	v.Transport = strings.ToUpper(rest[:sp])
+	h.Transport = strings.ToUpper(rest[:sp])
 	rest = strings.TrimSpace(rest[sp+1:])
-	var paramsPart string
 	if i := strings.IndexByte(rest, ';'); i >= 0 {
-		rest, paramsPart = rest[:i], rest[i+1:]
+		rest, h.params = rest[:i], rest[i+1:]
 	}
 	host, port, err := splitHostPort(strings.TrimSpace(rest))
 	if err != nil {
-		return v, fmt.Errorf("sipmsg: Via %q: %v", s, err)
+		return h, fmt.Errorf("sipmsg: Via %q: %v", s, err)
 	}
-	v.Host, v.Port = host, port
-	if paramsPart != "" {
-		v.Params = parseParams(paramsPart)
+	h.Host, h.Port = host, port
+	for p := h.params; p != ""; {
+		var kv string
+		kv, p, _ = strings.Cut(p, ";")
+		key, val, _ := strings.Cut(kv, "=")
+		if strings.EqualFold(strings.TrimSpace(key), "branch") {
+			h.Branch = strings.TrimSpace(val)
+		}
 	}
-	return v, nil
+	return h, nil
 }
 
 // Branch returns the branch parameter, or "".
